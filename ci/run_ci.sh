@@ -2,7 +2,8 @@
 # CI driver: one job per invocation, mirroring .github/workflows/ci.yml.
 #
 #   ci/run_ci.sh release      Release build (warnings-as-errors), full
-#                             ctest suite, benchmarks, the
+#                             ctest suite, the perfbench build and
+#                             self-test, benchmarks, the
 #                             check_bench.py plan-vs-graph regression
 #                             gate, and the bench-artifacts bundle.
 #   ci/run_ci.sh asan-ubsan   Address+UB sanitizer build, tier1 tests
@@ -51,6 +52,18 @@ case "$JOB" in
     configure_and_build "$BUILD" -DCMAKE_BUILD_TYPE=Release
     (cd "$BUILD" && ctest --output-on-failure --timeout "$CTEST_TIMEOUT" \
        -j "$JOBS")
+    # The repository benchmark (perfbench/) is a separate CMake project
+    # that compiles against the plan and kernel APIs (PlanInstr, PlanRun,
+    # RunPlan, PlanFor, ZeroRows, ServingGemm). Build it in its own
+    # directory and run its self-test, so an API change that breaks it
+    # fails here rather than at benchmark time.
+    PERFBENCH_BUILD="$ROOT/build-ci-perfbench"
+    cmake -S "$ROOT/perfbench" -B "$PERFBENCH_BUILD" \
+      -DCMAKE_BUILD_TYPE=Release
+    cmake --build "$PERFBENCH_BUILD" -j "$JOBS" \
+      --target perfbench perfbench_selftest
+    "$PERFBENCH_BUILD/perfbench_selftest" \
+      --workdir "$PERFBENCH_BUILD/perfbench-selftest"
     # Scaling benchmark doubles as a determinism gate (checksums must
     # match across 1/2/4 threads); keep its JSON as a CI artifact.
     (cd "$BUILD" && ./bench/bench_parallel_scaling)

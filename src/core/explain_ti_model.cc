@@ -216,6 +216,9 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
           : encoder_->Forward(sample.seq.ids, sample.seq.segments, ctx);
   fwd.cls = tensor::Row(fwd.embeddings, 0);
   const int len = static_cast<int>(sample.seq.ids.size());
+  CHECK(!with_local || fwd.embeddings.dim(0) == len)
+      << "LE pools every token row; the encoder output has "
+      << fwd.embeddings.dim(0) << " of " << len;
 
   // -- Structural Explanations (Algorithm 4) -----------------------------
   const bool se_ready = config_.use_structural && store.size() > 0;

@@ -147,7 +147,8 @@ class ExplainTiModel {
 
   /// Outcome of one forward pass with the explanation modules attached.
   struct Forward {
-    tensor::Tensor embeddings;    // E [L, d].
+    tensor::Tensor embeddings;    // E [L, d]; [1, d] (the [CLS] row) when
+                                  // a compiled plan ran without LE.
     tensor::Tensor cls;           // E_[CLS].
     tensor::Tensor final_logits;  // SE logits (Eq. 9) or base (Eq. 1).
     // LE.
@@ -175,11 +176,12 @@ class ExplainTiModel {
   /// Predict() skip LE/GE (they never change the final logits) without
   /// mutating shared state, which keeps concurrent Evaluate() calls
   /// race-free. `precomputed_embeddings`, when non-null, replaces the
-  /// encoder call with an already-computed E [L, d] (the compiled-plan
-  /// path hands the encoder output here and this method runs the
-  /// SE/LE/GE/head tail exactly as before — in particular the se_ready
-  /// decision stays in one place, so plan and graph calls can never
-  /// disagree about which head ran).
+  /// encoder call with an already-computed E [L, d] — or just its [CLS]
+  /// row [1, d] when `with_local` is false, since only LE reads the other
+  /// rows (the compiled-plan path hands the encoder output here and this
+  /// method runs the SE/LE/GE/head tail exactly as before — in particular
+  /// the se_ready decision stays in one place, so plan and graph calls
+  /// can never disagree about which head ran).
   Forward RunForward(TaskKind kind, int sample_id,
                      const nn::ExecContext& ctx) const {
     return RunForward(kind, sample_id, ctx, config_.use_local,

@@ -39,8 +39,9 @@ class PlanBuilder {
     b.last_use = static_cast<int32_t>(instrs_.size());
   }
 
-  /// Appends `instr` and extends the liveness of its arena operands to
-  /// this instruction.
+  /// Appends `instr` — computing all m rows in a [CLS]-only run until
+  /// LimitToClsRow says otherwise — and extends the liveness of its arena
+  /// operands to this instruction.
   void Emit(const PlanInstr& instr) {
     const int32_t at = static_cast<int32_t>(instrs_.size());
     for (int64_t buf : {instr.a_off, instr.b_off, instr.out_off}) {
@@ -50,7 +51,11 @@ class PlanBuilder {
       b.last_use = std::max(b.last_use, at);
     }
     instrs_.push_back(instr);
+    instrs_.back().cls_rows = instr.m;
   }
+
+  /// Stamps instruction `at` to compute only row 0 in a [CLS]-only run.
+  void LimitToClsRow(size_t at) { instrs_[at].cls_rows = 1; }
 
   /// Pins `buf` as a plan output: it survives the whole program so the
   /// executor can copy it out after the loop.
@@ -94,6 +99,7 @@ class PlanBuilder {
   }
 
   size_t instr_count() const { return instrs_.size(); }
+  const PlanInstr& instr(size_t at) const { return instrs_[at]; }
 
  private:
   std::vector<PlanInstr> instrs_;
@@ -269,15 +275,20 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
         (layer_int8 == nullptr || (*layer_int8)[li] != 0)) {
       ql = &qenc->layers[li];
     }
+    const size_t layer_begin = b.instr_count();
     const int64_t q = b.NewBuffer(L * d);
     const int64_t k = b.NewBuffer(L * d);
     const int64_t v = b.NewBuffer(L * d);
     linear(x, layer.wq, ql != nullptr ? &ql->wq : nullptr, q, L,
            PlanPostOp::kBias);
+    // K and V are read by every query row, so they stay full-height even
+    // when only the [CLS] query is computed.
+    const size_t kv_begin = b.instr_count();
     linear(x, layer.wk, ql != nullptr ? &ql->wk : nullptr, k, L,
            PlanPostOp::kBias);
     linear(x, layer.wv, ql != nullptr ? &ql->wv : nullptr, v, L,
            PlanPostOp::kBias);
+    const size_t kv_end = b.instr_count();
 
     // One scores buffer and one k^T buffer serve every head in sequence;
     // the context buffer collects per-head columns in place (the graph
@@ -324,6 +335,22 @@ util::StatusOr<InferencePlan> BuildInferencePlan(
     const int64_t x_next = b.NewBuffer(L * d);
     residual_ln(h1, f2, x_next, L, d, layer.ln2_gamma, layer.ln2_beta);
     x = x_next;
+
+    // [CLS]-only cone: in the last layer, output row 0 depends on the
+    // other rows only through K and V (and k^T, their transpose). Every
+    // other instruction is row-wise — row i of its output reads only row
+    // i of its inputs — so a run that reads just the [CLS] row computes
+    // one row of each. Row-wise kernels give each row the same bits
+    // whatever the row count, int8 GEMMs included (their activation
+    // quantization is per row).
+    if (li + 1 == encoder.layers.size()) {
+      for (size_t at = layer_begin; at < b.instr_count(); ++at) {
+        const bool kv = at >= kv_begin && at < kv_end;
+        if (!kv && b.instr(at).op != PlanOpCode::kTranspose) {
+          b.LimitToClsRow(at);
+        }
+      }
+    }
   }
   b.KeepToEnd(x);
   const int32_t encoder_end = static_cast<int32_t>(b.instr_count());
@@ -396,14 +423,18 @@ void RunPlan(const InferencePlan& plan, const PlanRun& run) {
 
   const size_t end = want_logits ? plan.instrs.size()
                                  : static_cast<size_t>(plan.encoder_end);
+  // A caller that reads at most the [CLS] row (logits, or one row of the
+  // encoder output) gets the last layer's row-0 cone only.
+  const bool cls_only = run.encoder_out_rows <= 1;
   for (size_t i = 0; i < end; ++i) {
     const PlanInstr& instr = plan.instrs[i];
+    const int64_t m = cls_only ? instr.cls_rows : instr.m;
     switch (instr.op) {
       case PlanOpCode::kEmbedLayerNorm:
         tensor::EmbedLayerNormRows(
             instr.weight, instr.bias, instr.aux, run.token_ids,
             instr.aux != nullptr ? run.segment_ids : nullptr,
-            f32(instr.out_off), instr.m, instr.n, instr.gamma, instr.beta,
+            f32(instr.out_off), m, instr.n, instr.gamma, instr.beta,
             instr.eps);
         break;
       case PlanOpCode::kGemm: {
@@ -416,42 +447,42 @@ void RunPlan(const InferencePlan& plan, const PlanRun& run) {
           int8_t* qa = reinterpret_cast<int8_t*>(base + plan.qa_off);
           float* qs = f32(plan.qs_off);
           int32_t* qzp = reinterpret_cast<int32_t*>(base + plan.qzp_off);
-          tensor::QuantizeRowsInt8(a, instr.lda, instr.m, instr.k, qa, qs,
+          tensor::QuantizeRowsInt8(a, instr.lda, m, instr.k, qa, qs,
                                    qzp);
           tensor::ServingGemmInt8(qa, qs, qzp, instr.weight_q,
                                   instr.wq_scales, instr.wq_col_sums, c,
-                                  instr.ldc, instr.m, instr.k, instr.n);
+                                  instr.ldc, m, instr.k, instr.n);
         } else {
           const float* bm =
               instr.b_off >= 0 ? f32(instr.b_off) : instr.weight;
-          tensor::ZeroRows(c, instr.ldc, instr.m, instr.n);
+          tensor::ZeroRows(c, instr.ldc, m, instr.n);
           tensor::ServingGemm(a, instr.lda, bm, instr.ldb, instr.trans_b, c,
-                              instr.ldc, instr.m, instr.k, instr.n);
+                              instr.ldc, m, instr.k, instr.n);
         }
         switch (instr.post) {
           case PlanPostOp::kNone:
             break;
           case PlanPostOp::kBias:
-            tensor::AddBiasRows(c, instr.ldc, instr.bias, instr.m, instr.n);
+            tensor::AddBiasRows(c, instr.ldc, instr.bias, m, instr.n);
             break;
           case PlanPostOp::kBiasGelu:
-            tensor::BiasGeluRows(c, instr.ldc, instr.bias, instr.m, instr.n);
+            tensor::BiasGeluRows(c, instr.ldc, instr.bias, m, instr.n);
             break;
           case PlanPostOp::kScaleSoftmax:
-            tensor::ScaleSoftmaxRows(c, instr.m, instr.n, instr.scale);
+            tensor::ScaleSoftmaxRows(c, m, instr.n, instr.scale);
             break;
         }
         break;
       }
       case PlanOpCode::kResidualLayerNorm:
         tensor::ResidualLayerNormRows(f32(instr.a_off), f32(instr.b_off),
-                                      f32(instr.out_off), instr.m, instr.n,
+                                      f32(instr.out_off), m, instr.n,
                                       instr.gamma, instr.beta, instr.eps);
         break;
       case PlanOpCode::kTranspose: {
         const float* a = f32(instr.a_off);
         float* c = f32(instr.out_off);
-        for (int64_t r = 0; r < instr.m; ++r) {
+        for (int64_t r = 0; r < m; ++r) {
           for (int64_t j = 0; j < instr.n; ++j) {
             c[j * instr.ldc + r] = a[r * instr.lda + j];
           }

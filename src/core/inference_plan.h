@@ -28,10 +28,19 @@ namespace explainti::core {
 ///   * strided per-head GEMMs: attention heads read q/k/v column slices
 ///     and write their context columns directly via lda/ldb/ldc, so
 ///     SliceCols/ConcatCols never materialise. Only k_h^T is materialised
-///     (kTranspose into one reused planned buffer): the non-transposed
-///     GEMM kernel vectorises its contiguous inner loop, while the
-///     trans_b strided-gather path does not — the 16x64-float copy is far
-///     cheaper than running the scores GEMM scalar;
+///     (kTranspose into one reused planned buffer): the AVX2 tile kernel
+///     needs each k step's B columns contiguous, which only the
+///     non-transposed layout gives, while trans_b runs the scalar strided
+///     gather — the 16 x L-float copy is far cheaper than running the
+///     scores GEMM scalar;
+///   * a [CLS]-only last layer: ExplainTI reads the encoder's row 0 for
+///     SE, GE and every head; only LE pools the other rows. Last-layer
+///     instructions whose output rows feed only row 0 — everything but
+///     the K/V projections and kTranspose — carry cls_rows = 1, and a run
+///     that reads at most one encoder row (PlanRun::encoder_out_rows <= 1:
+///     logits-only runs, EncodeBatch, Predict without LE) computes just
+///     that row of each. Rows are independent in every such kernel (int8
+///     quantization is per row), so row 0 keeps its bits;
 ///   * fixed offsets: every intermediate lives at a liveness-planned
 ///     byte offset (tensor::PlanBufferOffsets — byte-granular so fp32
 ///     activations and int8 quantization scratch share one mixed-width
@@ -98,6 +107,10 @@ struct PlanInstr {
   /// post-op epilogue applies in fp32 exactly as on the kF32 path.
   tensor::DType dtype = tensor::DType::kF32;
   int64_t m = 0, k = 0, n = 0;        ///< GEMM dims; LN ops use m rows, n cols.
+  /// Rows RunPlan computes when only the [CLS] row of the encoder output
+  /// is read (PlanRun::encoder_out_rows <= 1): 1 for the last layer's
+  /// instructions that feed only row 0, m everywhere else.
+  int64_t cls_rows = 0;
   int64_t lda = 0, ldb = 0, ldc = 0;  ///< Row strides of A / B / C views.
   int64_t a_off = -1;                 ///< Arena byte offset of A (LN input x).
   int64_t b_off = -1;                 ///< Arena byte offset of B (LN input f).
@@ -156,8 +169,9 @@ struct PlanRun {
   const int* token_ids = nullptr;    ///< [seq_len]; required.
   const int* segment_ids = nullptr;  ///< [seq_len]; required iff has_segments.
   /// If non-null, receives the first `encoder_out_rows` rows of the
-  /// encoder output ([rows, d_model], contiguous). rows=1 copies just the
-  /// [CLS] embedding for EncodeBatch.
+  /// encoder output ([rows, d_model], contiguous). rows <= 1 — just the
+  /// [CLS] embedding, or logits alone — runs the last layer on row 0
+  /// only (PlanInstr::cls_rows); only rows == seq_len computes them all.
   float* encoder_out = nullptr;
   int64_t encoder_out_rows = 0;
   /// If non-null, receives the `num_labels` logits; the head instructions

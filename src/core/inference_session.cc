@@ -434,18 +434,19 @@ const InferencePlan* InferenceSession::PlanFor(TaskKind kind,
 }
 
 tensor::Tensor InferenceSession::PlanEncode(const InferencePlan& plan,
-                                            const TaskSample& sample) const {
+                                            const TaskSample& sample,
+                                            int64_t rows) const {
   // The encoder output is the one plan intermediate that must outlive the
   // arena (the RunForward tail reads it), so it gets a pooled workspace
-  // node of its own — exactly what the graph walk's final LayerNorm would
-  // have produced.
-  auto node = tensor::internal::AllocNode({plan.seq_len, plan.d_model},
+  // node of its own — the first `rows` rows of what the graph walk's
+  // final LayerNorm would have produced.
+  auto node = tensor::internal::AllocNode({rows, plan.d_model},
                                           /*zero_init=*/false);
   PlanRun run;
   run.token_ids = sample.seq.ids.data();
   run.segment_ids = plan.has_segments ? sample.seq.segments.data() : nullptr;
   run.encoder_out = node->data.data();
-  run.encoder_out_rows = plan.seq_len;
+  run.encoder_out_rows = rows;
   RunPlan(plan, run);
   return tensor::Tensor(std::move(node));
 }
@@ -456,7 +457,10 @@ ExplainTiModel::Forward InferenceSession::PlanForward(
   plan_runs_.fetch_add(1, std::memory_order_relaxed);
   const TaskData& task = model_->Task(kind);
   const TaskSample& sample = task.samples[static_cast<size_t>(sample_id)];
-  tensor::Tensor embeddings = PlanEncode(plan, sample);
+  // Only LE pools the non-[CLS] token rows; SE, GE and the heads read row
+  // 0 alone, so without LE the plan computes the [CLS] row only.
+  tensor::Tensor embeddings =
+      PlanEncode(plan, sample, with_local ? plan.seq_len : 1);
   // The tail (SE/LE/GE and head selection) is the graph walk's own code:
   // the plan replaces only the encoder, so the two paths cannot diverge
   // in anything but encoder numerics — which the plan contract (and the
@@ -471,7 +475,11 @@ ExplainTiModel::Forward InferenceSession::PlanForward(
     ExplainTiModel::Forward ref = model_->RunForward(
         kind, sample_id, nn::ExecContext::Inference(&ref_rng), with_local,
         with_global);
-    CHECK(BitsEqual(embeddings.ToVector(), ref.embeddings.ToVector()))
+    // Compare the rows the plan computed: all of them, or just [CLS].
+    const std::vector<float> got = embeddings.ToVector();
+    std::vector<float> want = ref.embeddings.ToVector();
+    want.resize(got.size());
+    CHECK(BitsEqual(got, want))
         << "plan verify: encoder output diverged from the graph walk "
            "(task sample " << sample_id << ", seq_len " << plan.seq_len
         << ")";

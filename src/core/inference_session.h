@@ -253,16 +253,19 @@ class InferenceSession {
   /// storage by pointer.
   void DropQuantState();
 
-  /// Runs `plan`'s encoder range for `sample` and wraps the output as a
-  /// workspace tensor E [L, d] for the RunForward tail. Caller must hold
-  /// an InferenceModeGuard.
+  /// Runs `plan`'s encoder range for `sample` and wraps the first `rows`
+  /// rows of its output as a workspace tensor for the RunForward tail:
+  /// E [L, d] when rows == L, or just the [CLS] row [1, d] when rows == 1
+  /// (RunPlan then computes only that row through the last layer). Caller
+  /// must hold an InferenceModeGuard.
   tensor::Tensor PlanEncode(const InferencePlan& plan,
-                            const TaskSample& sample) const;
+                            const TaskSample& sample, int64_t rows) const;
 
   /// Single-sample forward through the plan path: compiled encoder, then
-  /// the shared RunForward tail (SE/LE/GE/head). In kVerify mode also
-  /// runs the full graph walk and CHECKs the final logits are
-  /// bit-identical.
+  /// the shared RunForward tail (SE/LE/GE/head). Without `with_local` the
+  /// encoder output handed to the tail is the [CLS] row alone. In kVerify
+  /// mode also runs the full graph walk and CHECKs the computed encoder
+  /// rows and the final logits are bit-identical.
   ExplainTiModel::Forward PlanForward(TaskKind kind, int sample_id,
                                       const InferencePlan& plan,
                                       util::Rng& rng, bool with_local,

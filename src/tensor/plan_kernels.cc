@@ -11,14 +11,16 @@
 #define EXPLAINTI_RESTRICT
 #endif
 
-// The int8 GEMM ships a hand-vectorized AVX2 body selected at run time
-// (GCC/Clang `target` attribute + __builtin_cpu_supports), because the
-// library's baseline -O2 build cannot autovectorize the int8->int32
-// widening loop and a quantized tier slower than fp32 would be pointless.
-// Integer accumulation is exact, so the vector and scalar bodies produce
-// identical bits — dispatch never changes results, only throughput.
+// The fp32 and int8 GEMMs ship hand-vectorized bodies selected once at
+// start-up (GCC/Clang `target` attribute + __builtin_cpu_supports): the
+// library's baseline -O2 build neither register-tiles the fp32 loop nest
+// nor autovectorizes the int8->int32 widening loop. Every vector body
+// produces the same bits as its scalar reference — the fp32 one by
+// keeping each element's rounding sequence, the int8 ones because integer
+// accumulation is exact — so dispatch never changes results, only
+// throughput.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EXPLAINTI_INT8_AVX2 1
+#define EXPLAINTI_X86_DISPATCH 1
 #include <immintrin.h>
 #endif
 
@@ -36,14 +38,15 @@ inline float GeluScalar(float x) {
   return 0.5f * x * (1.0f + std::tanh(inner));
 }
 
-// The register-blocked body for one chunk of output rows [ib, ie): two
-// output rows x four k steps per pass. Strides generalise the original
-// contiguous kernel; with lda == k, ldb == n, ldc == n, TransB == false
-// this is the exact loop nest MatMul's serving branch always ran. Each
-// output element accumulates its products in ascending-k order with every
-// product and add individually rounded, so bits never depend on the
-// blocking, the strides, or TransB (which only changes *where* the same
-// B values are read from).
+// The scalar register-blocked body for one chunk of output rows [ib, ie):
+// two output rows x four k steps per pass. It is the reference the AVX2
+// body below must match bit for bit, and the fallback without AVX2.
+// Strides generalise the original contiguous kernel; with lda == k,
+// ldb == n, ldc == n, TransB == false this is the exact loop nest
+// MatMul's serving branch always ran. Each output element accumulates its
+// products in ascending-k order with every product and add individually
+// rounded, so bits never depend on the blocking, the strides, or TransB
+// (which only changes *where* the same B values are read from).
 template <bool TransB>
 void GemmRowsChunk(const float* EXPLAINTI_RESTRICT pa, int64_t lda,
                    const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
@@ -113,81 +116,186 @@ void GemmRowsChunk(const float* EXPLAINTI_RESTRICT pa, int64_t lda,
   }
 }
 
-// Single-output-row kernel (m == 1), chunked over columns [jb, je) like
-// the original vector-matrix branch.
-template <bool TransB>
-void GemmVecChunk(const float* EXPLAINTI_RESTRICT pa,
-                  const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
-                  float* EXPLAINTI_RESTRICT pc, int64_t k, int64_t jb,
-                  int64_t je) {
-  auto b_at = [pb, ldb](int64_t kk, int64_t j) -> float {
-    return TransB ? pb[j * ldb + kk] : pb[kk * ldb + j];
-  };
-  int64_t kk = 0;
-  for (; kk + 4 <= k; kk += 4) {
-    const float a0 = pa[kk], a1 = pa[kk + 1];
-    const float a2 = pa[kk + 2], a3 = pa[kk + 3];
-    for (int64_t j = jb; j < je; ++j) {
-      float acc = pc[j];
-      acc += a0 * b_at(kk, j);
-      acc += a1 * b_at(kk + 1, j);
-      acc += a2 * b_at(kk + 2, j);
-      acc += a3 * b_at(kk + 3, j);
-      pc[j] = acc;
-    }
-  }
-  for (; kk < k; ++kk) {
-    const float av = pa[kk];
-    for (int64_t j = jb; j < je; ++j) pc[j] += av * b_at(kk, j);
+#if EXPLAINTI_X86_DISPATCH
+
+// AVX2 body of GemmRowsChunk<false>. A tile of kRows output rows x kVecs
+// eight-float column vectors stays in ymm registers for the whole k
+// reduction, so C is read and written once per tile instead of once per
+// four k steps. Each accumulator lane starts from C and then takes, in
+// ascending k, one _mm256_mul_ps product and one _mm256_add_ps — the
+// scalar kernel's `acc += a * b` with the product and the add each
+// rounded on its own, so every output element gets the same bits. The
+// functions carry target("avx2") and never "fma": a fused multiply-add
+// rounds once where the scalar kernel rounds twice.
+//
+// kMasked tiles (kVecs == 1) cover the last n % 8 columns through
+// _mm256_maskload_ps / _mm256_maskstore_ps. Masked-off lanes are neither
+// read nor written, so a per-head view never touches the next head's
+// columns in C, nor reads past the end of B.
+template <bool kMasked>
+__attribute__((target("avx2"))) inline __m256 LoadCols(const float* p,
+                                                        __m256i mask) {
+  if constexpr (kMasked) {
+    return _mm256_maskload_ps(p, mask);
+  } else {
+    return _mm256_loadu_ps(p);
   }
 }
+
+template <bool kMasked>
+__attribute__((target("avx2"))) inline void StoreCols(float* p, __m256i mask,
+                                                       __m256 v) {
+  if constexpr (kMasked) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+template <int kRows, int kVecs, bool kMasked>
+__attribute__((target("avx2"))) inline void GemmTileAvx2(
+    const float* EXPLAINTI_RESTRICT pa, int64_t lda,
+    const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
+    float* EXPLAINTI_RESTRICT pc, int64_t ldc, int64_t k, __m256i mask) {
+  static_assert(!kMasked || kVecs == 1, "only a single vector is masked");
+  // Constant-bound loops over the tile unroll completely, so acc[][] is
+  // kRows * kVecs named registers, not a stack array.
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = LoadCols<kMasked>(pc + r * ldc + 8 * v, mask);
+    }
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* EXPLAINTI_RESTRICT brow = pb + kk * ldb;
+    __m256 bv[kVecs];
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = LoadCols<kMasked>(brow + 8 * v, mask);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 x = _mm256_broadcast_ss(pa + r * lda + kk);
+#pragma GCC unroll 4
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(x, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kVecs; ++v) {
+      StoreCols<kMasked>(pc + r * ldc + 8 * v, mask, acc[r][v]);
+    }
+  }
+}
+
+// One group of kRows output rows across all n columns: 16-column tiles,
+// then one 8-column tile, then the masked remainder. A single row starts
+// with 32-column tiles so it still has four independent add chains.
+template <int kRows>
+__attribute__((target("avx2"))) inline void GemmRowGroupAvx2(
+    const float* EXPLAINTI_RESTRICT pa, int64_t lda,
+    const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
+    float* EXPLAINTI_RESTRICT pc, int64_t ldc, int64_t k, int64_t n) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t j = 0;
+  if constexpr (kRows == 1) {
+    for (; j + 32 <= n; j += 32) {
+      GemmTileAvx2<1, 4, false>(pa, lda, pb + j, ldb, pc + j, ldc, k, all);
+    }
+  }
+  for (; j + 16 <= n; j += 16) {
+    GemmTileAvx2<kRows, 2, false>(pa, lda, pb + j, ldb, pc + j, ldc, k, all);
+  }
+  if (j + 8 <= n) {
+    GemmTileAvx2<kRows, 1, false>(pa, lda, pb + j, ldb, pc + j, ldc, k, all);
+    j += 8;
+  }
+  if (j < n) {
+    const __m256i tail = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(n - j)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    GemmTileAvx2<kRows, 1, true>(pa, lda, pb + j, ldb, pc + j, ldc, k, tail);
+  }
+}
+
+// Output rows [ib, ie) in 4-row groups, then the last m % 4 rows one at a
+// time. Same signature and contract as GemmRowsChunk<false>.
+__attribute__((target("avx2"))) void GemmRowsChunkAvx2(
+    const float* EXPLAINTI_RESTRICT pa, int64_t lda,
+    const float* EXPLAINTI_RESTRICT pb, int64_t ldb,
+    float* EXPLAINTI_RESTRICT pc, int64_t ldc, int64_t k, int64_t n,
+    int64_t ib, int64_t ie) {
+  int64_t i = ib;
+  for (; i + 4 <= ie; i += 4) {
+    GemmRowGroupAvx2<4>(pa + i * lda, lda, pb, ldb, pc + i * ldc, ldc, k, n);
+  }
+  for (; i < ie; ++i) {
+    GemmRowGroupAvx2<1>(pa + i * lda, lda, pb, ldb, pc + i * ldc, ldc, k, n);
+  }
+}
+
+#endif  // EXPLAINTI_X86_DISPATCH
+
+using F32RowsChunkFn = void (*)(const float*, int64_t, const float*, int64_t,
+                                float*, int64_t, int64_t, int64_t, int64_t,
+                                int64_t);
+
+F32RowsChunkFn ResolveF32RowsChunk() {
+#if EXPLAINTI_X86_DISPATCH
+  if (__builtin_cpu_supports("avx2")) return GemmRowsChunkAvx2;
+#endif
+  return GemmRowsChunk<false>;
+}
+
+// Resolved once at start-up; both bodies produce identical bits.
+const F32RowsChunkFn kF32RowsChunk = ResolveF32RowsChunk();
 
 }  // namespace
 
 void ServingGemm(const float* a, int64_t lda, const float* b, int64_t ldb,
                  bool trans_b, float* c, int64_t ldc, int64_t m, int64_t k,
                  int64_t n) {
+  // Rows [ib, ie) x columns [jb, je): the row kernel over a column window
+  // of B and C. Every output element is computed by exactly one chunk.
+  auto chunk = [&](int64_t ib, int64_t ie, int64_t jb, int64_t je) {
+    if (trans_b) {
+      GemmRowsChunk<true>(a, lda, b + jb * ldb, ldb, c + jb, ldc, k, je - jb,
+                          ib, ie);
+    } else {
+      kF32RowsChunk(a, lda, b + jb, ldb, c + jb, ldc, k, je - jb, ib, ie);
+    }
+  };
   // Same ParallelFor shapes and grains as the MatMul this kernel was
   // extracted from: chunks touch disjoint output rows (or, for a single
   // output row, disjoint columns), so the result is chunking-invariant.
   // When the whole range fits one chunk anyway — or the pool has no
-  // workers to fan out to — the chunk function runs directly: it computes
-  // the same thing, and skipping ParallelFor's std::function envelope
-  // (which heap-allocates for these captures) is what keeps a warmed-up
+  // workers to fan out to — the chunk runs directly: it computes the same
+  // thing, and skipping ParallelFor's std::function envelope (which
+  // heap-allocates for these captures) is what keeps a warmed-up
   // single-threaded plan execution at zero allocations.
+  const bool serial = util::GlobalThreadPool().num_threads() <= 1;
   if (m > 1) {
     const int64_t grain = util::GrainForCost(k * n);
-    if (m <= grain || util::GlobalThreadPool().num_threads() <= 1) {
-      if (trans_b) {
-        GemmRowsChunk<true>(a, lda, b, ldb, c, ldc, k, n, 0, m);
-      } else {
-        GemmRowsChunk<false>(a, lda, b, ldb, c, ldc, k, n, 0, m);
-      }
+    if (m <= grain || serial) {
+      chunk(0, m, 0, n);
       return;
     }
     util::ParallelFor(0, m, grain, [&](int64_t ib, int64_t ie) {
-      if (trans_b) {
-        GemmRowsChunk<true>(a, lda, b, ldb, c, ldc, k, n, ib, ie);
-      } else {
-        GemmRowsChunk<false>(a, lda, b, ldb, c, ldc, k, n, ib, ie);
-      }
+      chunk(ib, ie, 0, n);
     });
   } else {
     const int64_t grain = util::GrainForCost(k);
-    if (n <= grain || util::GlobalThreadPool().num_threads() <= 1) {
-      if (trans_b) {
-        GemmVecChunk<true>(a, b, ldb, c, k, 0, n);
-      } else {
-        GemmVecChunk<false>(a, b, ldb, c, k, 0, n);
-      }
+    if (n <= grain || serial) {
+      chunk(0, m, 0, n);
       return;
     }
     util::ParallelFor(0, n, grain, [&](int64_t jb, int64_t je) {
-      if (trans_b) {
-        GemmVecChunk<true>(a, b, ldb, c, k, jb, je);
-      } else {
-        GemmVecChunk<false>(a, b, ldb, c, k, jb, je);
-      }
+      chunk(0, m, jb, je);
     });
   }
 }
@@ -271,28 +379,119 @@ void ResidualLayerNormRows(const float* x, const float* f, float* out,
   }
 }
 
+namespace {
+
+// The reference per-row activation quantizer (QuantizeRowsInt8's
+// contract) and the fallback without AVX2.
+void QuantizeRowInt8(const float* EXPLAINTI_RESTRICT row, int64_t k,
+                     int8_t* EXPLAINTI_RESTRICT out, float* scale_out,
+                     int32_t* zp_out) {
+  float lo = row[0], hi = row[0];
+  for (int64_t kk = 1; kk < k; ++kk) {
+    lo = std::min(lo, row[kk]);
+    hi = std::max(hi, row[kk]);
+  }
+  const float range = hi - lo;
+  const float scale = range > 0.0f ? range / 255.0f : 1.0f;
+  const float inv_scale = 1.0f / scale;
+  const int32_t zp = -128 - static_cast<int32_t>(std::lrintf(lo * inv_scale));
+  *scale_out = scale;
+  *zp_out = zp;
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const int32_t q =
+        static_cast<int32_t>(std::lrintf(row[kk] * inv_scale)) + zp;
+    out[kk] = static_cast<int8_t>(std::clamp(q, -128, 127));
+  }
+}
+
+#if EXPLAINTI_X86_DISPATCH
+
+// AVX2 body of QuantizeRowInt8, identical bits. The min/max reduction is
+// order-free; the only freedom it takes is the sign of a zero min or max,
+// which cannot change the range or the rounded zero point. The scaled
+// values go through the same single _mm256_mul_ps rounding, and
+// _mm256_cvtps_epi32 rounds to nearest-even under the same MXCSR mode
+// lrintf uses. That conversion agrees with lrintf only inside the int32
+// range, so a row whose scaled magnitude could reach 2^30 — only a tight
+// cluster far from zero — or that holds a NaN takes the scalar body.
+__attribute__((target("avx2"))) void QuantizeRowInt8Avx2(
+    const float* EXPLAINTI_RESTRICT row, int64_t k,
+    int8_t* EXPLAINTI_RESTRICT out, float* scale_out, int32_t* zp_out) {
+  __m256 vlo = _mm256_set1_ps(row[0]);
+  __m256 vhi = vlo;
+  __m256 nan = _mm256_setzero_ps();
+  int64_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256 x = _mm256_loadu_ps(row + kk);
+    vlo = _mm256_min_ps(vlo, x);
+    vhi = _mm256_max_ps(vhi, x);
+    nan = _mm256_or_ps(nan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+  }
+  alignas(32) float lanes_lo[8], lanes_hi[8];
+  _mm256_store_ps(lanes_lo, vlo);
+  _mm256_store_ps(lanes_hi, vhi);
+  float lo = lanes_lo[0], hi = lanes_hi[0];
+  for (int t = 1; t < 8; ++t) {
+    lo = std::min(lo, lanes_lo[t]);
+    hi = std::max(hi, lanes_hi[t]);
+  }
+  for (int64_t t = kk; t < k; ++t) {
+    lo = std::min(lo, row[t]);
+    hi = std::max(hi, row[t]);
+  }
+  const float range = hi - lo;
+  const float scale = range > 0.0f ? range / 255.0f : 1.0f;
+  const float inv_scale = 1.0f / scale;
+  const float bound = std::max(std::fabs(lo), std::fabs(hi)) * inv_scale;
+  if (_mm256_movemask_ps(nan) != 0 || !(bound < 1073741824.0f)) {
+    QuantizeRowInt8(row, k, out, scale_out, zp_out);
+    return;
+  }
+  const int32_t zp = -128 - static_cast<int32_t>(std::lrintf(lo * inv_scale));
+  *scale_out = scale;
+  *zp_out = zp;
+  const __m256 vinv = _mm256_set1_ps(inv_scale);
+  const __m256i vzp = _mm256_set1_epi32(zp);
+  const __m256i qmin = _mm256_set1_epi32(-128);
+  const __m256i qmax = _mm256_set1_epi32(127);
+  for (kk = 0; kk + 8 <= k; kk += 8) {
+    const __m256i q = _mm256_add_epi32(
+        _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(row + kk), vinv)),
+        vzp);
+    const __m256i c = _mm256_max_epi32(_mm256_min_epi32(q, qmax), qmin);
+    const __m128i w16 = _mm_packs_epi32(_mm256_castsi256_si128(c),
+                                        _mm256_extracti128_si256(c, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + kk),
+                     _mm_packs_epi16(w16, w16));
+  }
+  for (; kk < k; ++kk) {
+    const int32_t q =
+        static_cast<int32_t>(std::lrintf(row[kk] * inv_scale)) + zp;
+    out[kk] = static_cast<int8_t>(std::clamp(q, -128, 127));
+  }
+}
+
+#endif  // EXPLAINTI_X86_DISPATCH
+
+using QuantizeRowFn = void (*)(const float*, int64_t, int8_t*, float*,
+                               int32_t*);
+
+QuantizeRowFn ResolveQuantizeRow() {
+#if EXPLAINTI_X86_DISPATCH
+  if (__builtin_cpu_supports("avx2")) return QuantizeRowInt8Avx2;
+#endif
+  return QuantizeRowInt8;
+}
+
+// Resolved once at start-up; both bodies produce identical bits.
+const QuantizeRowFn kQuantizeRow = ResolveQuantizeRow();
+
+}  // namespace
+
 void QuantizeRowsInt8(const float* a, int64_t lda, int64_t m, int64_t k,
                       int8_t* aq, float* scales, int32_t* zero_points) {
   for (int64_t i = 0; i < m; ++i) {
-    const float* EXPLAINTI_RESTRICT row = a + i * lda;
-    float lo = row[0], hi = row[0];
-    for (int64_t kk = 1; kk < k; ++kk) {
-      lo = std::min(lo, row[kk]);
-      hi = std::max(hi, row[kk]);
-    }
-    const float range = hi - lo;
-    const float scale = range > 0.0f ? range / 255.0f : 1.0f;
-    const float inv_scale = 1.0f / scale;
-    const int32_t zp =
-        -128 - static_cast<int32_t>(std::lrintf(lo * inv_scale));
-    scales[i] = scale;
-    zero_points[i] = zp;
-    int8_t* EXPLAINTI_RESTRICT out = aq + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const int32_t q =
-          static_cast<int32_t>(std::lrintf(row[kk] * inv_scale)) + zp;
-      out[kk] = static_cast<int8_t>(std::clamp(q, -128, 127));
-    }
+    kQuantizeRow(a + i * lda, k, aq + i * k, scales + i, zero_points + i);
   }
 }
 
@@ -423,7 +622,7 @@ void GemmVecChunkInt8(const int8_t* EXPLAINTI_RESTRICT pa, float a_scale,
   }
 }
 
-#if EXPLAINTI_INT8_AVX2
+#if EXPLAINTI_X86_DISPATCH
 
 // Largest reduction depth the AVX2 body handles with its stack-resident
 // packed-activation buffer (4 rows x kInt8MaxK/2 int32 pairs = 32 KiB of
@@ -726,7 +925,7 @@ __attribute__((target("avx512f,avx512bw"))) void GemmRowsChunkInt8Avx512(
   }
 }
 
-#endif  // EXPLAINTI_INT8_AVX2
+#endif  // EXPLAINTI_X86_DISPATCH
 
 using Int8RowsChunkFn = void (*)(const int8_t*, const float*, const int32_t*,
                                  const int8_t*, const float*, const int32_t*,
@@ -734,7 +933,7 @@ using Int8RowsChunkFn = void (*)(const int8_t*, const float*, const int32_t*,
                                  int64_t);
 
 Int8RowsChunkFn ResolveInt8RowsChunk() {
-#if EXPLAINTI_INT8_AVX2
+#if EXPLAINTI_X86_DISPATCH
   if (__builtin_cpu_supports("avx512bw")) return GemmRowsChunkInt8Avx512;
   if (__builtin_cpu_supports("avx2")) return GemmRowsChunkInt8Avx2;
 #endif

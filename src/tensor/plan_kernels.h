@@ -31,7 +31,10 @@ namespace explainti::tensor {
 /// attention-score GEMM. Accumulation order per output element is
 /// ascending-k with every product and add individually rounded —
 /// identical to the tape kernel and independent of strides, transposition
-/// and ParallelFor chunking.
+/// and ParallelFor chunking. On AVX2 hosts the non-transposed rows run a
+/// register-tiled body picked once at start-up (separate mul and add,
+/// never FMA), which gives the same bits as the scalar body; only C's
+/// m x n window is ever written.
 void ServingGemm(const float* a, int64_t lda, const float* b, int64_t ldb,
                  bool trans_b, float* c, int64_t ldc, int64_t m, int64_t k,
                  int64_t n);
@@ -83,7 +86,8 @@ void EmbedLayerNormRows(const float* token_table, const float* position_table,
 /// so the full row range maps onto [-128, 127]. A constant row gets
 /// scale 1 (any scale represents it exactly through the zero point).
 /// Runs on the calling thread: m is a sequence length (tiny next to the
-/// GEMM it feeds) and the pass is memory-bound.
+/// GEMM it feeds) and the pass is memory-bound. On AVX2 hosts a vector
+/// body picked once at start-up gives the same bits.
 void QuantizeRowsInt8(const float* a, int64_t lda, int64_t m, int64_t k,
                       int8_t* aq, float* scales, int32_t* zero_points);
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,9 +12,14 @@
 #include "core/inference_session.h"
 #include "data/wiki_generator.h"
 #include "golden_evidence.h"
+#include "nn/encoder.h"
+#include "nn/linear.h"
+#include "nn/lowering.h"
+#include "tensor/tensor_ops.h"
 #include "tensor/workspace.h"
 #include "util/alloc_counter.h"
 #include "util/fault_injection.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace explainti::core {
@@ -140,50 +146,57 @@ std::vector<int> SampleIds(const TaskData& task) {
 // Two sessions over identical weights (same seed, same corpus), one
 // serving from compiled plans, one forced onto the graph walk: every
 // serving method must agree bit for bit on every sample of every task.
+// Without LE (use_local off) Explain, like Predict, hands the tail only
+// the [CLS] row.
 TEST(InferencePlanTest, PlanServesBitIdenticalToGraphWalk) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(2);
   const data::TableCorpus corpus = TinyCorpus();
-  auto plan_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "on");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  auto graph_model = [&] {
-    ScopedEnv env("EXPLAINTI_PLAN", "off");
-    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
-  }();
-  plan_model->RefreshStores();
-  graph_model->RefreshStores();
-  const InferenceSession& plan = plan_model->session();
-  const InferenceSession& graph = graph_model->session();
-  ASSERT_TRUE(plan.plans_enabled());
-  ASSERT_GT(plan.plan_stats().plans_built, 0);
-  ASSERT_FALSE(graph.plans_enabled());
+  for (bool use_local : {true, false}) {
+    SCOPED_TRACE(use_local ? "with LE" : "without LE");
+    ExplainTiConfig config = TinyConfig();
+    config.use_local = use_local;
+    auto plan_model = [&] {
+      ScopedEnv env("EXPLAINTI_PLAN", "on");
+      return std::make_unique<ExplainTiModel>(config, corpus);
+    }();
+    auto graph_model = [&] {
+      ScopedEnv env("EXPLAINTI_PLAN", "off");
+      return std::make_unique<ExplainTiModel>(config, corpus);
+    }();
+    plan_model->RefreshStores();
+    graph_model->RefreshStores();
+    const InferenceSession& plan = plan_model->session();
+    const InferenceSession& graph = graph_model->session();
+    ASSERT_TRUE(plan.plans_enabled());
+    ASSERT_GT(plan.plan_stats().plans_built, 0);
+    ASSERT_FALSE(graph.plans_enabled());
 
-  for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!plan.HasTask(kind)) continue;
-    const std::vector<int> ids = SampleIds(plan.task_data(kind));
-    for (int id : ids) {
-      EXPECT_EQ(plan.Predict(kind, id), graph.Predict(kind, id))
-          << "Predict diverged, sample " << id;
-      ExpectBitEqual(plan.PredictProbabilities(kind, id),
-                     graph.PredictProbabilities(kind, id),
-                     "PredictProbabilities");
-      ExpectExplanationsBitEqual(graph.Explain(kind, id),
-                                 plan.Explain(kind, id));
+    for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
+      if (!plan.HasTask(kind)) continue;
+      const std::vector<int> ids = SampleIds(plan.task_data(kind));
+      for (int id : ids) {
+        EXPECT_EQ(plan.Predict(kind, id), graph.Predict(kind, id))
+            << "Predict diverged, sample " << id;
+        ExpectBitEqual(plan.PredictProbabilities(kind, id),
+                       graph.PredictProbabilities(kind, id),
+                       "PredictProbabilities");
+        ExpectExplanationsBitEqual(graph.Explain(kind, id),
+                                   plan.Explain(kind, id));
+      }
+      const auto plan_embs = plan.EncodeBatch(kind, ids);
+      const auto graph_embs = graph.EncodeBatch(kind, ids);
+      ASSERT_EQ(plan_embs.size(), graph_embs.size());
+      for (size_t i = 0; i < plan_embs.size(); ++i) {
+        ExpectBitEqual(plan_embs[i], graph_embs[i], "EncodeBatch");
+      }
     }
-    const auto plan_embs = plan.EncodeBatch(kind, ids);
-    const auto graph_embs = graph.EncodeBatch(kind, ids);
-    ASSERT_EQ(plan_embs.size(), graph_embs.size());
-    for (size_t i = 0; i < plan_embs.size(); ++i) {
-      ExpectBitEqual(plan_embs[i], graph_embs[i], "EncodeBatch");
-    }
+    EXPECT_GT(plan.plan_stats().plan_runs, 0);
+    EXPECT_EQ(plan.plan_stats().graph_runs, 0)
+        << "a sample unexpectedly fell back to the graph walk";
+    EXPECT_GT(graph.plan_stats().graph_runs, 0);
+    EXPECT_EQ(graph.plan_stats().plan_runs, 0);
   }
-  EXPECT_GT(plan.plan_stats().plan_runs, 0);
-  EXPECT_EQ(plan.plan_stats().graph_runs, 0)
-      << "a sample unexpectedly fell back to the graph walk";
-  EXPECT_GT(graph.plan_stats().graph_runs, 0);
-  EXPECT_EQ(graph.plan_stats().plan_runs, 0);
 }
 
 // With structural explanations off the plan folds the classifier head in
@@ -358,24 +371,167 @@ TEST(InferencePlanTest, EnvOffDisablesPlans) {
 
 // Verify mode runs both paths per call and CHECK-fails the process on any
 // bit divergence — so simply serving a few calls is the assertion.
+// Predict and PredictProbabilities compute only the [CLS] row through the
+// last layer (the structural head via PlanForward, or the folded head),
+// Explain computes every row for LE, and EncodeBatch the [CLS] row; verify
+// mode compares exactly the rows each call computed.
 TEST(InferencePlanTest, VerifyModeCrossChecksEveryCall) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  ScopedEnv env("EXPLAINTI_PLAN", "verify");
-  ExplainTiModel model(TinyConfig(), corpus);
-  model.RefreshStores();
-  const InferenceSession& session = model.session();
-  ASSERT_TRUE(session.plans_enabled());
-  EXPECT_EQ(session.plan_mode(), InferenceSession::PlanMode::kVerify);
+  for (bool structural : {true, false}) {
+    ExplainTiConfig config = TinyConfig();
+    config.use_structural = structural;
+    ScopedEnv env("EXPLAINTI_PLAN", "verify");
+    ExplainTiModel model(config, corpus);
+    model.RefreshStores();
+    const InferenceSession& session = model.session();
+    ASSERT_TRUE(session.plans_enabled());
+    EXPECT_EQ(session.plan_mode(), InferenceSession::PlanMode::kVerify);
 
-  const std::vector<int> ids = SampleIds(session.task_data(TaskKind::kType));
-  for (int id : ids) {
-    session.Predict(TaskKind::kType, id);
-    session.Explain(TaskKind::kType, id);
+    const std::vector<int> ids =
+        SampleIds(session.task_data(TaskKind::kType));
+    for (int id : ids) {
+      session.Predict(TaskKind::kType, id);
+      session.PredictProbabilities(TaskKind::kType, id);
+      session.Explain(TaskKind::kType, id);
+    }
+    session.EncodeBatch(TaskKind::kType, ids);
+    EXPECT_GT(session.plan_stats().plan_runs, 0);
   }
-  session.EncodeBatch(TaskKind::kType, ids);
-  EXPECT_GT(session.plan_stats().plan_runs, 0);
+}
+
+// -- [CLS]-only runs: the last layer computes row 0 alone ------------------
+
+// Runs `plan` three ways: every encoder row plus logits, the [CLS] row
+// plus logits, and logits alone. The two [CLS]-only runs must reproduce
+// row 0 and the logits of the full run bit for bit.
+void ExpectClsOnlyRunMatchesFullRun(const InferencePlan& plan,
+                                    const std::vector<int>& ids,
+                                    const std::vector<int>& segments,
+                                    const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(static_cast<int64_t>(ids.size()), plan.seq_len);
+  const size_t d = static_cast<size_t>(plan.d_model);
+  const size_t labels = static_cast<size_t>(plan.num_labels);
+  PlanRun run;
+  run.token_ids = ids.data();
+  run.segment_ids = plan.has_segments ? segments.data() : nullptr;
+
+  std::vector<float> full(static_cast<size_t>(plan.seq_len) * d);
+  std::vector<float> full_logits(labels);
+  run.encoder_out = full.data();
+  run.encoder_out_rows = plan.seq_len;
+  run.logits = full_logits.data();
+  RunPlan(plan, run);
+
+  std::vector<float> cls(d);
+  std::vector<float> cls_logits(labels);
+  run.encoder_out = cls.data();
+  run.encoder_out_rows = 1;
+  run.logits = cls_logits.data();
+  RunPlan(plan, run);
+
+  std::vector<float> only_logits(labels);
+  run.encoder_out = nullptr;
+  run.encoder_out_rows = 0;
+  run.logits = only_logits.data();
+  RunPlan(plan, run);
+
+  ExpectBitEqual(std::vector<float>(full.begin(), full.begin() + d), cls,
+                 "[CLS] row");
+  ExpectBitEqual(full_logits, cls_logits, "logits with the [CLS] row");
+  ExpectBitEqual(full_logits, only_logits, "logits alone");
+}
+
+// Number of instructions a [CLS]-only run shortens.
+int CountClsLimited(const InferencePlan& plan) {
+  int limited = 0;
+  for (const PlanInstr& instr : plan.instrs) {
+    if (instr.cls_rows < instr.m) ++limited;
+  }
+  return limited;
+}
+
+// Every plan key the sessions compiled — fp32 and int8, both tasks — and
+// standalone plans down to L = 1.
+TEST(InferencePlanTest, ClsOnlyRunMatchesFullRunOnEveryPlanKey) {
+  GlobalPoolGuard guard;
+  util::SetGlobalThreadCount(1);
+  const data::TableCorpus corpus = TinyCorpus();
+  for (const char* precision : {"fp32", "int8"}) {
+    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
+    ScopedEnv prec_env("EXPLAINTI_PRECISION", precision);
+    ExplainTiModel model(TinyConfig(), corpus);
+    const InferenceSession& session = model.session();
+    ASSERT_TRUE(session.plans_enabled());
+    ASSERT_STREQ(session.served_precision(), precision);
+    std::set<const InferencePlan*> seen;
+    for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
+      if (!session.HasTask(kind)) continue;
+      const TaskData& task = session.task_data(kind);
+      for (size_t id = 0; id < task.samples.size(); ++id) {
+        const InferencePlan* plan =
+            session.PlanFor(kind, static_cast<int>(id));
+        ASSERT_NE(plan, nullptr);
+        if (!seen.insert(plan).second) continue;
+        EXPECT_EQ(plan->int8_gemms > 0, std::string(precision) == "int8");
+        EXPECT_GT(CountClsLimited(*plan), 0);
+        ExpectClsOnlyRunMatchesFullRun(
+            *plan, task.samples[id].seq.ids, task.samples[id].seq.segments,
+            std::string(precision) + " seq_len " +
+                std::to_string(plan->seq_len));
+      }
+    }
+    EXPECT_GT(seen.size(), 1u);
+  }
+
+  // Standalone plans over a fresh encoder: L = 1 (which no task sample
+  // has) up to a few rows, fp32 and all-int8, the [CLS] row also checked
+  // against the graph walk.
+  nn::TransformerConfig config;
+  config.vocab_size = 40;
+  util::Rng rng(11);
+  nn::TransformerEncoder encoder(config, rng);
+  nn::Linear head(config.d_model, 5, rng);
+  const nn::EncoderLowering lowered = nn::LowerEncoder(encoder);
+  const nn::LinearLowering head_lowered = nn::LowerLinear(head);
+  const nn::QuantizedEncoder qencoder = nn::QuantizeEncoder(lowered);
+  const nn::QuantizedLinear qhead = nn::QuantizeLinear(head_lowered);
+  PlanQuantSpec int8_spec;
+  int8_spec.encoder = &qencoder;
+  int8_spec.head = &qhead;
+  for (int64_t len : {1, 2, 5}) {
+    std::vector<int> ids, segments;
+    for (int64_t i = 0; i < len; ++i) {
+      ids.push_back(static_cast<int>(rng.UniformInt(uint64_t{40})));
+      segments.push_back(2 * i < len ? 0 : 1);
+    }
+    for (const PlanQuantSpec* spec : {static_cast<PlanQuantSpec*>(nullptr),
+                                      &int8_spec}) {
+      util::StatusOr<InferencePlan> plan = BuildInferencePlan(
+          lowered, &head_lowered, len, /*has_segments=*/true, spec);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(CountClsLimited(*plan) > 0, len > 1);
+      ExpectClsOnlyRunMatchesFullRun(
+          *plan, ids, segments,
+          std::string(spec != nullptr ? "int8" : "fp32") + " L=" +
+              std::to_string(len));
+      if (spec != nullptr) continue;
+      std::vector<float> cls(static_cast<size_t>(plan->d_model));
+      PlanRun run;
+      run.token_ids = ids.data();
+      run.segment_ids = segments.data();
+      run.encoder_out = cls.data();
+      run.encoder_out_rows = 1;
+      RunPlan(*plan, run);
+      tensor::InferenceModeGuard mode;
+      const tensor::Tensor hidden =
+          encoder.Forward(ids, segments, nn::ExecContext::Inference());
+      ExpectBitEqual(tensor::Row(hidden, 0).ToVector(), cls,
+                     "[CLS] row vs graph walk");
+    }
+  }
 }
 
 // -- Hot-swap: plans are per-generation ------------------------------------
@@ -433,27 +589,36 @@ TEST(InferencePlanTest, SteadyStateRunPlanIsZeroAlloc) {
   std::vector<float> encoder_out(
       static_cast<size_t>(plan->seq_len * plan->d_model));
   std::vector<float> logits(static_cast<size_t>(plan->num_labels));
-  PlanRun run;
-  run.token_ids = sample.seq.ids.data();
-  run.segment_ids = plan->has_segments ? sample.seq.segments.data() : nullptr;
-  run.encoder_out = encoder_out.data();
-  run.encoder_out_rows = plan->seq_len;
-  run.logits = plan->logits_off >= 0 ? logits.data() : nullptr;
+  ASSERT_GE(plan->logits_off, 0);
+  // Every row, the [CLS] row alone, and logits alone: the last two run
+  // the [CLS]-only last layer.
+  for (int64_t rows : {plan->seq_len, int64_t{1}, int64_t{0}}) {
+    SCOPED_TRACE("encoder_out_rows " + std::to_string(rows));
+    PlanRun run;
+    run.token_ids = sample.seq.ids.data();
+    run.segment_ids =
+        plan->has_segments ? sample.seq.segments.data() : nullptr;
+    run.encoder_out = rows > 0 ? encoder_out.data() : nullptr;
+    run.encoder_out_rows = rows;
+    run.logits = logits.data();
 
-  RunPlan(*plan, run);  // Warm-up: seeds the arena bucket.
-  RunPlan(*plan, run);
+    RunPlan(*plan, run);  // Warm-up: seeds the arena bucket.
+    RunPlan(*plan, run);
 
-  const tensor::WorkspaceStats ws_before = tensor::ThisThreadWorkspaceStats();
-  const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
-  for (int i = 0; i < 16; ++i) RunPlan(*plan, run);
-  const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
-  const tensor::WorkspaceStats ws_after = tensor::ThisThreadWorkspaceStats();
+    const tensor::WorkspaceStats ws_before =
+        tensor::ThisThreadWorkspaceStats();
+    const util::AllocCounts heap_before = util::ThisThreadAllocCounts();
+    for (int i = 0; i < 16; ++i) RunPlan(*plan, run);
+    const util::AllocCounts heap_after = util::ThisThreadAllocCounts();
+    const tensor::WorkspaceStats ws_after =
+        tensor::ThisThreadWorkspaceStats();
 
-  EXPECT_EQ(heap_after.allocations - heap_before.allocations, 0u)
-      << "warmed-up RunPlan allocated on the heap";
-  EXPECT_EQ(ws_after.buffer_misses, ws_before.buffer_misses)
-      << "warmed-up RunPlan missed the workspace buffer pool";
-  EXPECT_GT(ws_after.buffer_acquires, ws_before.buffer_acquires);
+    EXPECT_EQ(heap_after.allocations - heap_before.allocations, 0u)
+        << "warmed-up RunPlan allocated on the heap";
+    EXPECT_EQ(ws_after.buffer_misses, ws_before.buffer_misses)
+        << "warmed-up RunPlan missed the workspace buffer pool";
+    EXPECT_GT(ws_after.buffer_acquires, ws_before.buffer_acquires);
+  }
 }
 
 // -- Golden evidence: every fp32 path tells the same story -----------------

@@ -2,6 +2,7 @@
 // accuracy-driven mixed mode, fail-closed fallback, and the weight-update
 // lifecycle (quantize once, re-quantize in place).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -113,6 +114,71 @@ TEST(QuantizedKernelTest, WeightQuantizationRoundTripsWithinOneStep) {
       EXPECT_GE(qv, -127);  // Symmetric clamp: -128 never appears.
     }
     EXPECT_EQ(sum, q.col_sums[static_cast<size_t>(j)]);
+  }
+}
+
+// QuantizeRowsInt8 must equal, bit for bit, the per-row formula its
+// header documents, computed here with plain scalar code, whichever body
+// the CPU dispatch selects. Rows cover every k % 8 tail, a strided view,
+// a constant row, signed zeros, a tight cluster far from zero (whose
+// scaled values leave the int32 range) and a NaN.
+TEST(QuantizedKernelTest, QuantizeRowsMatchesScalarFormula) {
+  util::Rng rng(23);
+  std::vector<std::vector<float>> rows;
+  for (int64_t k : {1, 3, 7, 8, 9, 16, 37, 64, 70, 128}) {
+    std::vector<float> row(static_cast<size_t>(k));
+    for (float& v : row) v = static_cast<float>(rng.Uniform(-4.0, 4.0));
+    rows.push_back(row);
+  }
+  rows.push_back(std::vector<float>(19, 0.75f));
+  rows.push_back({0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f});
+  rows.push_back({-0.0f, 2.0f, -3.0f, 0.0f, 1.0f, -0.0f, 5.0f, 0.0f, -1.0f});
+  std::vector<float> cluster(24);
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    cluster[i] = 1.0e6f + 0.0625f * static_cast<float>(i % 2);
+  }
+  rows.push_back(cluster);
+  std::vector<float> with_nan(17, 1.5f);
+  with_nan[11] = std::nanf("");
+  rows.push_back(with_nan);
+
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::vector<float>& row = rows[r];
+    const int64_t k = static_cast<int64_t>(row.size());
+    // The row sits at column 2 of a 2-row view with lda = k + 5.
+    const int64_t lda = k + 5;
+    std::vector<float> a(static_cast<size_t>(2 * lda), 9.0f);
+    std::copy(row.begin(), row.end(), a.begin() + lda + 2);
+    std::vector<int8_t> aq(static_cast<size_t>(k));
+    float scale = 0.0f;
+    int32_t zp = 0;
+    tensor::QuantizeRowsInt8(a.data() + lda + 2, lda, 1, k, aq.data(),
+                             &scale, &zp);
+
+    float lo = row[0], hi = row[0];
+    for (float v : row) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    const float range = hi - lo;
+    const float want_scale = range > 0.0f ? range / 255.0f : 1.0f;
+    const float inv = 1.0f / want_scale;
+    const int32_t want_zp =
+        -128 - static_cast<int32_t>(std::lrintf(lo * inv));
+    uint32_t got_bits, want_bits;
+    std::memcpy(&got_bits, &scale, sizeof(scale));
+    std::memcpy(&want_bits, &want_scale, sizeof(want_scale));
+    EXPECT_EQ(got_bits, want_bits) << "scale, row " << r;
+    EXPECT_EQ(zp, want_zp) << "zero point, row " << r;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int32_t q =
+          static_cast<int32_t>(std::lrintf(row[static_cast<size_t>(kk)] *
+                                           inv)) +
+          want_zp;
+      EXPECT_EQ(aq[static_cast<size_t>(kk)],
+                static_cast<int8_t>(std::clamp(q, -128, 127)))
+          << "row " << r << " element " << kk;
+    }
   }
 }
 

@@ -1,11 +1,16 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/plan_kernels.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace explainti::tensor {
 namespace {
@@ -320,6 +325,92 @@ TEST(TensorOpsTest, CosineSimilarityBounds) {
   const std::vector<float> c = {2, 0};
   EXPECT_NEAR(CosineSimilarity(a, b), 0.0f, 1e-6f);
   EXPECT_NEAR(CosineSimilarity(a, c), 1.0f, 1e-6f);
+}
+
+// -- ServingGemm bit identity ----------------------------------------------
+
+uint32_t FloatBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// ServingGemm must equal, bit for bit, the naive loop that starts from
+// +0.0f and adds each rounded product in ascending k. The plan-vs-graph
+// golden tests cannot catch a kernel that changes bits, because both
+// paths call the same ServingGemm; this test pins the kernel itself,
+// whichever body the CPU dispatch selects. The shapes cover the 4-row
+// groups and their 1-3 row tails, the 16- and 8-column tiles and every
+// masked column tail, and k down to 1. Each shape also runs as a strided
+// per-head view: lda, ldb and ldc wider than the window and a column
+// offset into B and C, with every element of C outside the m x n window
+// holding a sentinel that must survive — a tail store past the window
+// would overwrite the next head's columns.
+TEST(ServingGemmTest, BitIdenticalToNaiveAscendingKLoop) {
+  struct PoolRestore {
+    ~PoolRestore() {
+      util::SetGlobalThreadCount(util::ConfiguredThreadCount());
+    }
+  } restore;
+  const float kSentinel = -12345.5f;
+  util::Rng rng(20231017);
+  auto fill = [&rng](std::vector<float>& v) {
+    for (float& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  };
+  for (int threads : {1, 3}) {
+    util::SetGlobalThreadCount(threads);
+    for (int64_t m : {1, 2, 3, 4, 5, 37, 40}) {
+      for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 37, 40, 64, 70, 128}) {
+        for (int64_t k : {1, 3, 4, 16, 37, 64, 128}) {
+          for (bool trans_b : {false, true}) {
+            for (bool strided : {true, false}) {
+              const int64_t col = strided ? 3 : 0;
+              const int64_t lda = k + (strided ? 5 : 0);
+              const int64_t b_rows = trans_b ? col + n : k;
+              const int64_t b_cols = trans_b ? k : col + n;
+              const int64_t ldb = b_cols + (strided ? 6 : 0);
+              const int64_t ldc = col + n + (strided ? 7 : 0);
+              std::vector<float> a(static_cast<size_t>(m * lda));
+              std::vector<float> b(static_cast<size_t>(b_rows * ldb));
+              fill(a);
+              fill(b);
+              std::vector<float> c(static_cast<size_t>(m * ldc), kSentinel);
+              // The view's origin: B's column offset (row offset when B is
+              // read transposed) and C's column offset.
+              const float* bv = b.data() + (trans_b ? col * ldb : col);
+              float* cv = c.data() + col;
+              ZeroRows(cv, ldc, m, n);
+              ServingGemm(a.data(), lda, bv, ldb, trans_b, cv, ldc, m, k, n);
+              for (int64_t i = 0; i < m; ++i) {
+                for (int64_t j = 0; j < ldc; ++j) {
+                  const float got = c[static_cast<size_t>(i * ldc + j)];
+                  if (j < col || j >= col + n) {
+                    ASSERT_EQ(FloatBits(got), FloatBits(kSentinel))
+                        << "wrote outside the window: m=" << m << " n=" << n
+                        << " k=" << k << " trans_b=" << trans_b
+                        << " strided=" << strided << " at [" << i << ", "
+                        << j << "]";
+                    continue;
+                  }
+                  float want = 0.0f;
+                  for (int64_t kk = 0; kk < k; ++kk) {
+                    const float bval = trans_b ? bv[(j - col) * ldb + kk]
+                                               : bv[kk * ldb + (j - col)];
+                    want += a[static_cast<size_t>(i * lda + kk)] * bval;
+                  }
+                  ASSERT_EQ(FloatBits(got), FloatBits(want))
+                      << "m=" << m << " n=" << n << " k=" << k
+                      << " trans_b=" << trans_b << " strided=" << strided
+                      << " threads=" << threads << " at [" << i << ", "
+                      << j - col << "]";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
