@@ -2,7 +2,9 @@
 # CI driver: one job per invocation, mirroring .github/workflows/ci.yml.
 #
 #   ci/run_ci.sh release      Release build (warnings-as-errors), full
-#                             ctest suite, the perfbench build and
+#                             ctest suite, tensor_test and
+#                             thread_pool_test rebuilt with
+#                             -march=haswell (FMA), the perfbench build and
 #                             self-test, benchmarks, the
 #                             check_bench.py plan-vs-graph regression
 #                             gate, and the bench-artifacts bundle.
@@ -52,6 +54,23 @@ case "$JOB" in
     configure_and_build "$BUILD" -DCMAKE_BUILD_TYPE=Release
     (cd "$BUILD" && ctest --output-on-failure --timeout "$CTEST_TIMEOUT" \
        -j "$JOBS")
+    # The bit-identity tests again with FMA in the baseline ISA. Every
+    # AVX2 body must match its scalar reference and the golden encoder and
+    # pre-training bits must hold even when the compiler may fuse a
+    # multiply and an add; the library's -ffp-contract=off is what keeps
+    # it from doing so, and this build fails without it.
+    if grep -qw fma /proc/cpuinfo && grep -qw avx2 /proc/cpuinfo; then
+      HASWELL_BUILD="$ROOT/build-ci-haswell"
+      cmake -B "$HASWELL_BUILD" -S "$ROOT" -DEXPLAINTI_WERROR=ON \
+        -DEXPLAINTI_CCACHE="${EXPLAINTI_CCACHE:-OFF}" \
+        -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-march=haswell
+      cmake --build "$HASWELL_BUILD" -j "$JOBS" \
+        --target tensor_test thread_pool_test
+      "$HASWELL_BUILD/tests/tensor_test"
+      "$HASWELL_BUILD/tests/thread_pool_test"
+    else
+      echo "SKIPPED: -march=haswell test build (host lacks AVX2 or FMA)"
+    fi
     # The repository benchmark (perfbench/) is a separate CMake project
     # that compiles against the plan and kernel APIs (PlanInstr, PlanRun,
     # RunPlan, PlanFor, ZeroRows, ServingGemm). Build it in its own

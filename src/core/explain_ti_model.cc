@@ -12,9 +12,9 @@
 #include "nn/pretrain.h"
 #include "tensor/optimizer.h"
 #include "tensor/tensor_ops.h"
+#include "text/tokenizer.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -40,23 +40,6 @@ std::vector<float> NormalizeToDistribution(std::vector<float> v) {
   }
   for (float& x : v) x /= total;
   return v;
-}
-
-/// Window text: tokens joined, merging "##" continuations, specials kept
-/// out.
-std::string WindowText(const std::vector<std::string>& tokens, int start,
-                       int end) {
-  std::vector<std::string> words;
-  for (int i = start; i < end && i < static_cast<int>(tokens.size()); ++i) {
-    const std::string& token = tokens[static_cast<size_t>(i)];
-    if (!token.empty() && token[0] == '[') continue;
-    if (util::StartsWith(token, "##") && !words.empty()) {
-      words.back() += token.substr(2);
-    } else {
-      words.push_back(token);
-    }
-  }
-  return util::Join(words, " ");
 }
 
 }  // namespace
@@ -206,6 +189,10 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
   // across store generations.
   const EmbeddingStore::View store = Store(kind).view();
 
+  // l_G and l_L feed only ComputeLoss, so evaluation and serving skip
+  // the GE head and the LE probability mix; every explanation is the same.
+  const bool for_loss = ctx.training();
+
   Forward fwd;
   // The compiled-plan path hands the encoder output in precomputed form
   // (bit-identical to the encoder call by the plan contract); everything
@@ -329,14 +316,16 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
               e[static_cast<size_t>(i)] * inv;
         }
       }
-      tensor::Tensor q_raw = tensor::Tensor::FromVector({k, d}, raw);
       tensor::Tensor q_norm = tensor::Tensor::FromVector({k, d}, normalized);
       // IS = softmax(cos(E_cls, q)) (Eq. 4), differentiable through E_cls.
       tensor::Tensor cls_norm = tensor::L2Normalize(fwd.cls);
       tensor::Tensor cos_scores = tensor::MatMul(q_norm, cls_norm);
       tensor::Tensor influence = tensor::Softmax(cos_scores);
-      tensor::Tensor global_embedding = tensor::MatMul(influence, q_raw);
-      fwd.global_logits = heads.global->Forward(global_embedding);
+      if (for_loss) {
+        tensor::Tensor q_raw = tensor::Tensor::FromVector({k, d}, raw);
+        tensor::Tensor global_embedding = tensor::MatMul(influence, q_raw);
+        fwd.global_logits = heads.global->Forward(global_embedding);
+      }
 
       for (int j = 0; j < k; ++j) {
         GlobalExplanation exp;
@@ -404,7 +393,7 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
     if (!spans.empty()) {
       std::vector<tensor::Tensor> s_probs;
       std::vector<float> kls;
-      s_probs.reserve(spans.size());
+      if (for_loss) s_probs.reserve(spans.size());
       kls.reserve(spans.size());
       for (const WindowSpan& span : spans) {
         tensor::Tensor pooled = tensor::MeanRows(
@@ -426,7 +415,7 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
         std::vector<float> s_dist = s_j.ToVector();
         if (task.multi_label) s_dist = NormalizeToDistribution(s_dist);
         kls.push_back(tensor::KlDivergence(s_dist, ref));
-        s_probs.push_back(std::move(s_j));
+        if (for_loss) s_probs.push_back(std::move(s_j));
       }
       float total_kl = 0.0f;
       for (float v : kls) total_kl += v;
@@ -435,9 +424,11 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
       tensor::Tensor l_local;
       for (size_t j = 0; j < spans.size(); ++j) {
         const float rs = kls[j] / total_kl;
-        tensor::Tensor weighted = tensor::Scale(s_probs[j], rs);
-        l_local = l_local.defined() ? tensor::Add(l_local, weighted)
-                                    : weighted;
+        if (for_loss) {
+          tensor::Tensor weighted = tensor::Scale(s_probs[j], rs);
+          l_local = l_local.defined() ? tensor::Add(l_local, weighted)
+                                      : weighted;
+        }
         LocalExplanation exp;
         exp.window_start = spans[j].start1;
         exp.window_end = spans[j].end1;
@@ -452,12 +443,12 @@ ExplainTiModel::Forward ExplainTiModel::RunForward(
                   return a.relevance > b.relevance;
                 });
       for (LocalExplanation& exp : fwd.windows) {
-        exp.text = WindowText(sample.seq.tokens, exp.window_start,
+        exp.text = text::WindowText(sample.seq.tokens, exp.window_start,
                               exp.window_end);
         if (exp.window_start2 >= 0) {
-          const std::string right = WindowText(
+          const std::string right = text::WindowText(
               sample.seq.tokens, exp.window_start2, exp.window_end2);
-          if (!right.empty()) exp.text += " | " + right;
+          if (!right.empty()) exp.text.append(" | ").append(right);
         }
       }
     }

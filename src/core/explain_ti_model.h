@@ -152,10 +152,12 @@ class ExplainTiModel {
     tensor::Tensor cls;           // E_[CLS].
     tensor::Tensor final_logits;  // SE logits (Eq. 9) or base (Eq. 1).
     // LE.
-    tensor::Tensor local_probs;   // l_L (probability vector), if LE on.
+    tensor::Tensor local_probs;   // l_L (probability vector), if LE on
+                                  // and training.
     std::vector<LocalExplanation> windows;
     // GE.
-    tensor::Tensor global_logits;  // l_G, if GE on and store ready.
+    tensor::Tensor global_logits;  // l_G, if GE on, store ready and
+                                   // training.
     std::vector<GlobalExplanation> retrieved;
     // SE.
     std::vector<StructuralExplanation> neighbors;

@@ -48,9 +48,34 @@ void ZeroRows(float* c, int64_t ldc, int64_t m, int64_t n);
 void AddBiasRows(float* c, int64_t ldc, const float* bias, int64_t m,
                  int64_t n);
 
-/// C[i, j] = gelu(C[i, j] + bias[j]) over the m x n window: the
-/// bias-add + tanh-GELU chain of the FFN expansion as one pass. Uses the
-/// same kGeluCoef / sqrt(2/pi) constants and std::tanh as tensor_ops.cc.
+/// tanh in float: a port of fdlibm's s_tanhf.c and s_expm1f.c, the
+/// float-only code glibc ships as `tanhf`, with the same constants,
+/// thresholds and operation order. It returns the bits of that libm on
+/// every input, and the same bits on every host whatever its own libm.
+/// The reference of every tanh and GELU kernel below.
+float Tanhf(float x);
+
+/// The tanh-approximated GELU of one value, as BERT defines it:
+/// (0.5 x) (1 + Tanhf(sqrt(2/pi) (x + ((0.044715 x) x) x))). The
+/// reference of GeluRows and BiasGeluRows.
+float GeluScalar(float x);
+
+/// y[j] = Tanhf(x[j]) for j < n (x == y allowed). On AVX2 hosts an
+/// 8-lane body picked once at start-up runs whole vectors and Tanhf the
+/// n % 8 tail; both give the same bits.
+void TanhRows(const float* x, float* y, int64_t n);
+
+/// y[j] = GeluScalar(x[j]) for j < n (x == y allowed): the Gelu op's
+/// forward, through the same 8-lane body as TanhRows.
+void GeluRows(const float* x, float* y, int64_t n);
+
+/// t[j] = the Tanhf inside GeluScalar(x[j]) for j < n: what the Gelu op's
+/// backward needs, through the same 8-lane body.
+void GeluTanhRows(const float* x, float* t, int64_t n);
+
+/// C[i, j] = GeluScalar(C[i, j] + bias[j]) over the m x n window: the
+/// bias-add + tanh-GELU chain of the FFN expansion as one pass, through
+/// the same 8-lane body as GeluRows.
 void BiasGeluRows(float* c, int64_t ldc, const float* bias, int64_t m,
                   int64_t n);
 

@@ -695,21 +695,18 @@ const float kSqrt2OverPi = std::sqrt(2.0f / static_cast<float>(M_PI));
 Tensor Gelu(const Tensor& a) {
   auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
   const int64_t n = a.size();
-  for (int64_t i = 0; i < n; ++i) {
-    const float x = a.data()[i];
-    const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-    node->data[i] = 0.5f * x * (1.0f + std::tanh(inner));
-  }
+  GeluRows(a.data(), node->data.data(), n);
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();
     node->backward_fn = [out, na, n]() {
       if (!na->requires_grad) return;
       auto& ga = na->EnsureGrad();
+      std::vector<float> tanh_inner(static_cast<size_t>(n));
+      GeluTanhRows(na->data.data(), tanh_inner.data(), n);
       for (int64_t i = 0; i < n; ++i) {
         const float x = na->data[i];
-        const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-        const float t = std::tanh(inner);
+        const float t = tanh_inner[static_cast<size_t>(i)];
         const float dinner = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * x * x);
         const float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
         ga[i] += out->grad[i] * dy;
@@ -722,7 +719,7 @@ Tensor Gelu(const Tensor& a) {
 Tensor TanhOp(const Tensor& a) {
   auto node = NewNode(a.shape(), {a}, /*zero_init=*/false);
   const int64_t n = a.size();
-  for (int64_t i = 0; i < n; ++i) node->data[i] = std::tanh(a.data()[i]);
+  TanhRows(a.data(), node->data.data(), n);
   if (node->requires_grad) {
     Node* out = node.get();
     auto na = a.node();

@@ -1,5 +1,6 @@
 #include "text/tokenizer.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "util/logging.h"
@@ -112,6 +113,30 @@ std::vector<std::string> ByteFallbackTokenizer::Tokenize(
     }
   }
   return out;
+}
+
+std::string WindowText(const std::vector<std::string>& tokens, int start,
+                       int end) {
+  const int stop = std::min(end, static_cast<int>(tokens.size()));
+  size_t length = 0;
+  for (int i = start; i < stop; ++i) {
+    length += tokens[static_cast<size_t>(i)].size() + 1;
+  }
+  std::string text;
+  text.reserve(length);
+  bool any_word = false;
+  for (int i = start; i < stop; ++i) {
+    const std::string& token = tokens[static_cast<size_t>(i)];
+    if (!token.empty() && token[0] == '[') continue;
+    if (util::StartsWith(token, "##") && any_word) {
+      text.append(token, 2);
+    } else {
+      if (any_word) text += ' ';
+      text += token;
+      any_word = true;
+    }
+  }
+  return text;
 }
 
 std::unique_ptr<Tokenizer> MakeTokenizer(const std::string& base_model,

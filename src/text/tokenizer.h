@@ -59,6 +59,13 @@ class ByteFallbackTokenizer : public Tokenizer {
 
 /// Creates a tokenizer by base-model name: "bert" -> WordPiece,
 /// "roberta" -> byte-fallback. Aborts on other names.
+/// The text of tokens [start, end) (clamped to the sequence): WordPiece
+/// "##" continuations merge into the word before them, tokens starting
+/// with '[' (the specials) are left out, and words are joined with single
+/// spaces. An explanation window's display text.
+std::string WindowText(const std::vector<std::string>& tokens, int start,
+                       int end);
+
 std::unique_ptr<Tokenizer> MakeTokenizer(const std::string& base_model,
                                          std::shared_ptr<const Vocab> vocab);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -409,6 +410,173 @@ TEST(ServingGemmTest, BitIdenticalToNaiveAscendingKLoop) {
           }
         }
       }
+    }
+  }
+}
+
+// -- Tanhf and the GELU row kernels ----------------------------------------
+
+float BitsFloat(uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// Runs TanhRows over `xs`, padded to whole 8-lane vectors so that every
+// value goes through the vector body, and checks each result bit for bit
+// against Tanhf. The padding repeats the values in another lane order, so
+// each value also meets different lane neighbours.
+void ExpectTanhRowsMatchTanhf(std::vector<float> xs) {
+  const size_t n = xs.size();
+  for (size_t i = 0; xs.size() % 8 != 0 || i < 8; ++i) {
+    xs.push_back(xs[(i * 5 + 3) % n]);
+  }
+  std::vector<float> got(xs.size());
+  TanhRows(xs.data(), got.data(), static_cast<int64_t>(xs.size()));
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(FloatBits(got[i]), FloatBits(Tanhf(xs[i])))
+        << "x bits 0x" << std::hex << FloatBits(xs[i]);
+  }
+}
+
+// Every |x| bit threshold of fdlibm's tanhf and expm1f, +-4 ulps, applied
+// to x and to the expm1 argument +-2|x| (so x = +-threshold / 2). A
+// vector lane that picks the wrong branch at a boundary shows here.
+TEST(TanhfKernelTest, VectorBodyMatchesTanhfAroundEveryThreshold) {
+  const uint32_t kThresholds[] = {
+      // expm1f: 27 ln2, 88.72, o_threshold, 0.5 ln2, 1.5 ln2, 2^-25.
+      0x4195b844u, 0x42b17218u, 0x42b17180u, 0x3eb17218u, 0x3f851592u,
+      0x33000000u,
+      // tanhf: 2^-55, 1, 22, inf.
+      0x24000000u, 0x3f800000u, 0x41b00000u, 0x7f800000u};
+  std::vector<float> xs;
+  for (uint32_t threshold : kThresholds) {
+    for (int d = -4; d <= 4; ++d) {
+      const float v = BitsFloat(threshold + static_cast<uint32_t>(d));
+      for (float x : {v, 0.5f * v}) {
+        xs.push_back(x);
+        xs.push_back(-x);
+      }
+    }
+  }
+  ExpectTanhRowsMatchTanhf(xs);
+}
+
+TEST(TanhfKernelTest, VectorBodyMatchesTanhfOnSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float max = std::numeric_limits<float>::max();
+  std::vector<float> xs = {0.0f, -0.0f, max, -max, inf, -inf};
+  // Denormals, smallest to largest.
+  for (uint32_t bits : {0x00000001u, 0x00000002u, 0x00012345u, 0x003fffffu,
+                        0x007fffffu}) {
+    xs.push_back(BitsFloat(bits));
+    xs.push_back(BitsFloat(bits | 0x80000000u));
+  }
+  // Quiet and signalling NaNs with distinct payloads, both signs: tanhf
+  // returns a NaN that keeps the payload.
+  for (uint32_t bits : {0x7fc00000u, 0x7fc00001u, 0x7fd23456u, 0x7f800001u,
+                        0x7fa5a5a5u, 0x7fffffffu}) {
+    xs.push_back(BitsFloat(bits));
+    xs.push_back(BitsFloat(bits | 0x80000000u));
+  }
+  ExpectTanhRowsMatchTanhf(xs);
+  // Tanhf itself at the special values.
+  EXPECT_EQ(FloatBits(Tanhf(0.0f)), FloatBits(0.0f));
+  EXPECT_EQ(FloatBits(Tanhf(-0.0f)), FloatBits(-0.0f));
+  EXPECT_EQ(Tanhf(inf), 1.0f);
+  EXPECT_EQ(Tanhf(-inf), -1.0f);
+  EXPECT_EQ(Tanhf(22.0f), 1.0f);
+  EXPECT_EQ(FloatBits(Tanhf(BitsFloat(0x7fd23456u))), 0x7fd23456u);
+  EXPECT_EQ(FloatBits(Tanhf(BitsFloat(0xff800001u))), 0xffc00001u);
+  EXPECT_NEAR(Tanhf(0.5f), 0.46211716f, 1e-7f);
+}
+
+// Every 256th bit pattern, about 16M values across all exponents and
+// both signs. The slow-labelled tanh_exhaustive_test runs all 2^32.
+TEST(TanhfKernelTest, VectorBodyMatchesTanhfOnStridedSweep) {
+  constexpr uint64_t kStride = 256;
+  constexpr size_t kBlock = 1 << 16;
+  std::vector<float> xs(kBlock), got(kBlock);
+  for (uint64_t base = 0; base < (uint64_t{1} << 32);
+       base += kBlock * kStride) {
+    for (size_t i = 0; i < kBlock; ++i) {
+      // An odd offset inside the stride reaches low mantissa bits too.
+      xs[i] = BitsFloat(static_cast<uint32_t>(base + i * kStride + (i % 97)));
+    }
+    TanhRows(xs.data(), got.data(), static_cast<int64_t>(kBlock));
+    for (size_t i = 0; i < kBlock; ++i) {
+      ASSERT_EQ(FloatBits(got[i]), FloatBits(Tanhf(xs[i])))
+          << "x bits 0x" << std::hex << FloatBits(xs[i]);
+    }
+  }
+}
+
+// BiasGeluRows against GeluScalar(c + bias), element by element, on rows
+// whose length covers a lone tail element, a short tail, one exact
+// vector, a vector plus one and longer rows, inside a wider ldc whose
+// padding holds a sentinel that must survive. The values span every
+// Tanhf branch GELU reaches, and the extremes.
+TEST(GeluRowKernelTest, BiasGeluRowsMatchesGeluScalar) {
+  const float kSentinel = -12345.5f;
+  util::Rng rng(20261018);
+  const float extremes[] = {0.0f,  -0.0f, 1e-20f, -1e-20f, 30.0f, -30.0f,
+                            1e30f, -1e30f};
+  for (int64_t n : {1, 7, 8, 9, 128, 130}) {
+    const int64_t m = 3;
+    const int64_t ldc = n + 5;
+    std::vector<float> bias(static_cast<size_t>(n));
+    std::vector<float> c(static_cast<size_t>(m * ldc), kSentinel);
+    for (float& b : bias) b = static_cast<float>(rng.Uniform(-0.5, 0.5));
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        c[static_cast<size_t>(i * ldc + j)] =
+            (i * n + j) % 11 == 0
+                ? extremes[(i * n + j) % 8]
+                : static_cast<float>(rng.Uniform(-8.0, 8.0));
+      }
+    }
+    const std::vector<float> input = c;
+    BiasGeluRows(c.data(), ldc, bias.data(), m, n);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < ldc; ++j) {
+        const size_t at = static_cast<size_t>(i * ldc + j);
+        const float want =
+            j < n ? GeluScalar(input[at] + bias[static_cast<size_t>(j)])
+                  : kSentinel;
+        ASSERT_EQ(FloatBits(c[at]), FloatBits(want))
+            << "n=" << n << " at [" << i << ", " << j << "]";
+      }
+    }
+  }
+}
+
+// The Gelu op runs the same row kernel: its forward equals GeluScalar and
+// its backward uses the same Tanhf of the same argument.
+TEST(GeluRowKernelTest, GeluOpForwardAndBackwardUseTheRowKernel) {
+  util::Rng rng(7);
+  for (int64_t n : {1, 13, 64}) {
+    std::vector<float> xs(static_cast<size_t>(n));
+    for (float& x : xs) x = static_cast<float>(rng.Uniform(-6.0, 6.0));
+    Tensor a = Tensor::FromVector({n}, xs);
+    a.set_requires_grad(true);
+    Tensor y = Gelu(a);
+    std::vector<float> inner(xs.size());
+    GeluTanhRows(xs.data(), inner.data(), n);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      ASSERT_EQ(FloatBits(y.at(static_cast<int64_t>(i))),
+                FloatBits(GeluScalar(xs[i])));
+      ASSERT_EQ(FloatBits(0.5f * xs[i] * (1.0f + inner[i])),
+                FloatBits(GeluScalar(xs[i])));
+    }
+    Sum(y).Backward();
+    const float coef = 0.044715f;
+    const float s2pi = std::sqrt(2.0f / static_cast<float>(M_PI));
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const float x = xs[i];
+      const float t = Tanhf(s2pi * (x + coef * x * x * x));
+      const float dinner = s2pi * (1.0f + 3.0f * coef * x * x);
+      const float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+      ASSERT_EQ(FloatBits(a.grad()[i]), FloatBits(dy)) << "x=" << x;
     }
   }
 }

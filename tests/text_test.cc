@@ -1,4 +1,6 @@
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,28 @@ TEST(SequenceBuilderTest, BuildsWithSepPosAndBudget) {
   EXPECT_LE(seq.ids.size(), 10u);
   EXPECT_EQ(seq.ids.back(), SpecialTokens::kSep);
   EXPECT_EQ(seq.sep_pos, 3);
+}
+
+// An LE window's display text: "##" pieces rejoin their word, specials
+// drop out, and the window bounds clamp to the sequence.
+TEST(WindowTextTest, MergesContinuationsAndSkipsSpecials) {
+  const std::vector<std::string> tokens = {
+      "[CLS]", "new", "york", "##er", "##s", "[SEP]", "##x", "ci", "##ty",
+      "[PAD]", ""};
+  EXPECT_EQ(WindowText(tokens, 0, 6), "new yorkers");
+  EXPECT_EQ(WindowText(tokens, 1, 3), "new york");
+  // A continuation with no word before it in the window starts one.
+  EXPECT_EQ(WindowText(tokens, 3, 5), "##ers");
+  // The special between them does not end the word "yorkers" ...
+  EXPECT_EQ(WindowText(tokens, 2, 7), "yorkersx");
+  // ... and a window of specials only, or an empty one, is empty.
+  EXPECT_EQ(WindowText(tokens, 5, 6), "");
+  EXPECT_EQ(WindowText(tokens, 0, 1), "");
+  EXPECT_EQ(WindowText(tokens, 4, 4), "");
+  EXPECT_EQ(WindowText(tokens, 6, 9), "##x city");
+  // The end clamps to the sequence; an empty token is a word.
+  EXPECT_EQ(WindowText(tokens, 7, 100), "city ");
+  EXPECT_EQ(WindowText({}, 0, 3), "");
 }
 
 }  // namespace
