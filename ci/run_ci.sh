@@ -120,15 +120,6 @@ case "$JOB" in
     # >=4-thread hosts it enforces the 1.5x batched speedup, elsewhere it
     # prints an explicit SKIPPED line instead of silently passing.
     python3 "$ROOT/ci/check_bench.py" "$BUILD/BENCH_serving.json"
-    # Quantized-serving benchmark: fp32-vs-int8 GEMM throughput, end-to-end
-    # Predict/Explain latency, weight memory, macro-F1 deltas on both
-    # corpora, and golden evidence-token agreement. check_bench.py gates
-    # accuracy drift, the all-or-nothing int8 policy, the allocation-free
-    # executor, and (on >=4-thread hosts) the 2x int8 GEMM speedup.
-    (cd "$BUILD" && ./bench/bench_quantized)
-    echo "BENCH_quantized.json:"
-    cat "$BUILD/BENCH_quantized.json"
-    python3 "$ROOT/ci/check_bench.py" "$BUILD/BENCH_quantized.json"
     # Table-QA benchmark: teacher-path answers vs the direct-prediction
     # oracle (must be exact), surrogate-vs-teacher agreement on both
     # corpora, cascade latency/escalation at three thresholds, the
@@ -147,8 +138,7 @@ case "$JOB" in
     rm -rf "$BUNDLE"
     mkdir -p "$BUNDLE"
     for bench_json in BENCH_parallel.json BENCH_inference.json \
-                      BENCH_store.json BENCH_serving.json \
-                      BENCH_quantized.json BENCH_qa.json; do
+                      BENCH_store.json BENCH_serving.json BENCH_qa.json; do
       if [ ! -f "$BUILD/$bench_json" ]; then
         echo "$bench_json missing from release artifacts" >&2
         exit 1

@@ -55,24 +55,6 @@ struct ExplainTiConfig {
   /// and fall back to the in-memory rebuild.
   std::string store_dir;
 
-  // -- Serving precision (see DESIGN.md "Precision-tiered serving") -------
-  /// Serving precision policy for the compiled-plan tier: "fp32" (the
-  /// reference — bit-identical to the graph walk), "int8" (every encoder
-  /// weight GEMM and the base classifier head run the quantized kernel),
-  /// or "mixed" (per-layer: calibration against a held-out slice keeps a
-  /// layer int8 only while its base-head predictions agree with fp32).
-  /// `EXPLAINTI_PRECISION` overrides this at session construction. The
-  /// policy never affects training (Fit always runs fp32) and is ignored
-  /// when plans are off or in verify mode.
-  std::string precision = "fp32";
-  /// Mixed mode: minimum prediction-agreement fraction with the fp32
-  /// baseline on the calibration slice for a layer (or the head) to stay
-  /// int8; below it the layer takes the fp32 fallback bit.
-  float precision_min_agreement = 0.98f;
-  /// Mixed mode: calibration slice size per task, drawn from the task's
-  /// validation split (falls back to the sample prefix when empty).
-  int precision_calibration_samples = 32;
-
   // -- Robustness (see DESIGN.md "Failure model & recovery") --------------
   /// Consecutive non-finite (skipped) optimiser steps tolerated before
   /// Fit() rolls the parameters back to the last-known-good snapshot and

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/lowering.h"
-#include "tensor/dtype.h"
 #include "util/status.h"
 
 namespace explainti::core {
@@ -39,21 +38,13 @@ namespace explainti::core {
 ///     the K/V projections and kTranspose — carry cls_rows = 1, and a run
 ///     that reads at most one encoder row (PlanRun::encoder_out_rows <= 1:
 ///     logits-only runs, EncodeBatch, Predict without LE) computes just
-///     that row of each. Rows are independent in every such kernel (int8
-///     quantization is per row), so row 0 keeps its bits;
+///     that row of each. Rows are independent in every such kernel, so
+///     row 0 keeps its bits;
 ///   * fixed offsets: every intermediate lives at a liveness-planned
-///     byte offset (tensor::PlanBufferOffsets — byte-granular so fp32
-///     activations and int8 quantization scratch share one mixed-width
-///     arena) in one flat arena, so steady-state execution performs zero
-///     tensor dispatch and zero heap allocation — the executor acquires
-///     the arena from the per-thread workspace pool and walks the array;
-///   * per-tensor precision: each kGemm is stamped with a tensor::DType.
-///     A quantized build (PlanQuantSpec) lowers selected weight GEMMs to
-///     int8 (quantize activations per row, int32-accumulate against the
-///     prebuilt int8 weights, fused dequant epilogue) with a per-layer
-///     fp32-fallback bit; activation x activation GEMMs and every
-///     normalisation stay fp32. A plan with no quant spec is the exact
-///     historical all-fp32 stream, bit-identical to the graph walk.
+///     byte offset (tensor::PlanBufferOffsets) in one flat arena, so
+///     steady-state execution performs zero tensor dispatch and zero heap
+///     allocation — the executor acquires the arena from the per-thread
+///     workspace pool and walks the array.
 ///
 /// Bit-identity with the graph walk is structural, not approximate: both
 /// paths call the one compiled copy of each serving kernel
@@ -93,19 +84,13 @@ enum class PlanPostOp : uint8_t {
 
 /// One instruction. POD: fixed dims and strides, arena BYTE offsets for
 /// activation operands (b_off < 0 selects the `weight` pointer instead),
-/// and raw parameter pointers that borrow the model's storage (and, for
-/// int8 GEMMs, the session's quantized weight storage). During building
-/// the *_off fields hold logical buffer ids; Finalize patches them to
-/// arena byte offsets (folding per-head column offsets in).
+/// and raw parameter pointers that borrow the model's storage. During
+/// building the *_off fields hold logical buffer ids; Finalize patches them
+/// to arena byte offsets (folding per-head column offsets in).
 struct PlanInstr {
   PlanOpCode op = PlanOpCode::kGemm;
   PlanPostOp post = PlanPostOp::kNone;
   bool trans_b = false;
-  /// Precision of a kGemm's inner product. kF32 runs ServingGemm on the
-  /// borrowed fp32 weights; kI8 quantizes the A rows into the plan's
-  /// shared scratch and runs ServingGemmInt8 against weight_q, then the
-  /// post-op epilogue applies in fp32 exactly as on the kF32 path.
-  tensor::DType dtype = tensor::DType::kF32;
   int64_t m = 0, k = 0, n = 0;        ///< GEMM dims; LN ops use m rows, n cols.
   /// Rows RunPlan computes when only the [CLS] row of the encoder output
   /// is read (PlanRun::encoder_out_rows <= 1): 1 for the last layer's
@@ -120,24 +105,8 @@ struct PlanInstr {
   const float* aux = nullptr;     ///< Segment table for embed (may be null).
   const float* gamma = nullptr;   ///< LayerNorm gain.
   const float* beta = nullptr;    ///< LayerNorm bias.
-  /// kI8 only: the quantized weight [k, n] and its per-column dequant
-  /// parameters, borrowing the session's QuantizedLinear storage.
-  const int8_t* weight_q = nullptr;
-  const float* wq_scales = nullptr;
-  const int32_t* wq_col_sums = nullptr;
   float scale = 1.0f;             ///< kScaleSoftmax multiplier.
   float eps = 0.0f;               ///< LayerNorm epsilon.
-};
-
-/// Selects the precision of a plan's weight GEMMs. Null `encoder` (or a
-/// null spec) builds the all-fp32 plan. `layer_int8` is parallel to the
-/// encoder layers: a zero bit is that layer's fp32 fallback (calibration
-/// decided int8 loses too much agreement there). `head`, when non-null,
-/// lowers the folded classifier head to int8 too.
-struct PlanQuantSpec {
-  const nn::QuantizedEncoder* encoder = nullptr;
-  const std::vector<uint8_t>* layer_int8 = nullptr;  ///< Null: all int8.
-  const nn::QuantizedLinear* head = nullptr;
 };
 
 /// A compiled plan for one (task, seq_len, has_segments) key.
@@ -149,16 +118,9 @@ struct InferencePlan {
   int64_t arena_bytes = 0;   ///< Scratch bytes the executor needs.
   int64_t enc_out_off = 0;   ///< Arena byte offset of encoder output [L, d].
   int64_t logits_off = -1;   ///< Arena byte offset of the logits; -1 if none.
-  /// Shared int8 quantization scratch (one block serves every int8 GEMM
-  /// in sequence): quantized A rows, per-row scales, per-row zero
-  /// points. -1 when the plan has no int8 instructions.
-  int64_t qa_off = -1;
-  int64_t qs_off = -1;
-  int64_t qzp_off = -1;
   int64_t seq_len = 0;
   int64_t d_model = 0;
   int64_t num_labels = 0;    ///< 0 when no head was folded in.
-  int64_t int8_gemms = 0;    ///< kGemm instructions stamped kI8.
   bool has_segments = false;
 };
 
@@ -184,14 +146,9 @@ struct PlanRun {
 /// error — and the session falls back to the graph walk — when the shape
 /// is outside the encoder's envelope (seq_len out of [1, max_len],
 /// d_model not divisible by num_heads, segment request without a table).
-/// `quant` (optional) stamps selected weight GEMMs kI8 per its per-layer
-/// bits; a malformed spec (layer count or shape mismatch) returns a
-/// typed InvalidArgument, and the session fails closed to the all-fp32
-/// plan.
 util::StatusOr<InferencePlan> BuildInferencePlan(
     const nn::EncoderLowering& encoder, const nn::LinearLowering* head,
-    int64_t seq_len, bool has_segments,
-    const PlanQuantSpec* quant = nullptr);
+    int64_t seq_len, bool has_segments);
 
 /// Executes `plan` on the calling thread (GEMMs fan out across the pool
 /// exactly like the graph walk's MatMul). Zero heap allocations once the

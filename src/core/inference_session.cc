@@ -1,6 +1,5 @@
 #include "core/inference_session.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -42,10 +41,6 @@ bool BitsEqual(const std::vector<float>& a, const std::vector<float>& b) {
 
 InferenceSession::InferenceSession(const ExplainTiModel& model)
     : model_(&model) {
-  // Latch both serving modes once, at construction: the session rebuilds
-  // its plans across the weights lifecycle (SuspendQuantizedTier /
-  // ReloadWeights), and a rebuild must not change behaviour because the
-  // environment moved underneath it.
   const char* plan_env = std::getenv("EXPLAINTI_PLAN");
   const std::string mode = plan_env != nullptr ? plan_env : "on";
   if (mode == "off") {
@@ -57,364 +52,49 @@ InferenceSession::InferenceSession(const ExplainTiModel& model)
                    << "\" (expected on/off/verify); serving from plans";
     }
   }
-  const char* prec_env = std::getenv("EXPLAINTI_PRECISION");
-  const std::string precision =
-      prec_env != nullptr ? prec_env : model.config().precision;
-  if (precision == "int8") {
-    precision_policy_ = PrecisionMode::kInt8;
-  } else if (precision == "mixed") {
-    precision_policy_ = PrecisionMode::kMixed;
-  } else {
-    precision_policy_ = PrecisionMode::kFp32;
-    if (precision != "fp32") {
-      LOG(WARNING) << "unknown precision value \"" << precision
-                   << "\" (expected fp32/int8/mixed); serving fp32";
-    }
-  }
   BuildPlans();
 }
 
 void InferenceSession::BuildPlans() {
-  if (plan_mode_ == PlanMode::kOff) {
-    if (precision_policy_ != PrecisionMode::kFp32) {
-      precision_status_ = util::Status::FailedPrecondition(
-          "EXPLAINTI_PLAN=off disables compiled plans, and the quantized "
-          "tier lives in them; serving fp32 through the graph walk");
-    }
-    return;
-  }
+  if (plan_mode_ == PlanMode::kOff) return;
   // Chaos site: models a lowering defect shipping in a new build — plan
   // compilation fails outright and serving must degrade to the graph
   // walk, never to an error.
   if (util::Status fault = FAULT_POINT("plan.build"); !fault.ok()) {
     LOG(WARNING) << "inference plan build faulted (" << fault.ToString()
                  << "); serving from the graph walk";
-    if (precision_policy_ != PrecisionMode::kFp32) {
-      precision_status_ = util::Status::FailedPrecondition(
-          "plan build faulted; the quantized tier requires compiled plans");
-    }
     return;
   }
 
   const nn::EncoderLowering lowered = nn::LowerEncoder(*model_->encoder_);
-  if (util::Status built = BuildPlanSet(lowered, /*quantized=*/false);
-      !built.ok()) {
-    // All or nothing: a per-shape mix of plan and graph serving would
-    // make the fast path data-dependent and the fallback untestable.
-    LOG(WARNING) << "inference plan build failed (" << built.ToString()
-                 << "); serving from the graph walk";
-    return;
-  }
-  if (precision_policy_ == PrecisionMode::kFp32) return;
-  if (suppress_quant_) {
-    precision_status_ = util::Status::FailedPrecondition(
-        "quantized tier suspended for training; fp32 until ReloadWeights");
-    return;
-  }
-  if (plan_mode_ == PlanMode::kVerify) {
-    precision_status_ = util::Status::FailedPrecondition(
-        "EXPLAINTI_PLAN=verify forces fp32: the int8 tier is deliberately "
-        "not bit-identical to the graph walk");
-    LOG(WARNING) << "EXPLAINTI_PLAN=verify: quantized tier disabled, "
-                    "serving the bit-exact fp32 plans";
-    return;
-  }
-  if (util::Status quant = BuildQuantizedTier(lowered); !quant.ok()) {
-    // Fail closed, all or nothing: a failed quantized build never leaves
-    // a half-quantized mix installed — the session re-lands on the exact
-    // fp32 plan set that just built above, and precision_status() carries
-    // the typed reason.
-    precision_status_ = quant;
-    LOG(WARNING) << "quantized tier build failed (" << quant.ToString()
-                 << "); failing closed to the all-fp32 plans";
-    DropQuantState();
-    const util::Status refp32 = BuildPlanSet(lowered, /*quantized=*/false);
-    CHECK(refp32.ok()) << "fp32 plan rebuild failed after a quantized-tier "
-                          "failure, but the same build succeeded moments "
-                          "ago: " << refp32.ToString();
-  } else {
-    precision_status_ = util::Status::OK();
-  }
-}
-
-util::Status InferenceSession::BuildPlanSet(
-    const nn::EncoderLowering& lowered, bool quantized) {
-  type_plans_.clear();
-  relation_plans_.clear();
-  plans_built_ = 0;
-  quantized_active_ = false;
   const bool use_segments = model_->encoder_->config().use_segments;
-  int64_t int8_instrs = 0;
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
     if (!model_->HasTask(kind)) continue;
     auto& plans = kind == TaskKind::kType ? type_plans_ : relation_plans_;
     const TaskData& task = model_->Task(kind);
     const nn::LinearLowering head =
         nn::LowerLinear(model_->Heads(kind).base->projection());
-    PlanQuantSpec spec;
-    const PlanQuantSpec* spec_ptr = nullptr;
-    if (quantized) {
-      spec.encoder = qencoder_.get();
-      spec.layer_int8 = &layer_int8_;
-      spec.head = head_int8_ ? (kind == TaskKind::kType
-                                    ? qhead_type_.get()
-                                    : qhead_relation_.get())
-                             : nullptr;
-      spec_ptr = &spec;
-    }
     for (const TaskSample& sample : task.samples) {
       const int64_t key = PlanKey(sample, use_segments);
       if (plans.find(key) != plans.end()) continue;
       util::StatusOr<InferencePlan> plan = BuildInferencePlan(
           lowered, &head, static_cast<int64_t>(sample.seq.ids.size()),
-          /*has_segments=*/(key & 1) != 0, spec_ptr);
+          /*has_segments=*/(key & 1) != 0);
       if (!plan.ok()) {
+        // All or nothing: a per-shape mix of plan and graph serving would
+        // make the fast path data-dependent and the fallback untestable.
+        LOG(WARNING) << "inference plan build failed ("
+                     << plan.status().ToString()
+                     << "); serving from the graph walk";
         type_plans_.clear();
         relation_plans_.clear();
         plans_built_ = 0;
-        return plan.status();
+        return;
       }
-      InferencePlan built = std::move(plan).value();
-      int8_instrs += built.int8_gemms;
-      plans.emplace(key, std::move(built));
+      plans.emplace(key, std::move(plan).value());
       ++plans_built_;
     }
   }
-  quantized_active_ = int8_instrs > 0;
-  return util::Status::OK();
-}
-
-util::Status InferenceSession::BuildQuantizedTier(
-    const nn::EncoderLowering& lowered) {
-  // Chaos site: models a quantizer defect shipping in a new build — the
-  // tier must fail closed to the fp32 plans, never to an error or a
-  // half-quantized mix.
-  if (util::Status fault = FAULT_POINT("plan.quantize"); !fault.ok()) {
-    return fault;
-  }
-  qencoder_ =
-      std::make_unique<nn::QuantizedEncoder>(nn::QuantizeEncoder(lowered));
-  for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!model_->HasTask(kind)) continue;
-    auto& qhead =
-        kind == TaskKind::kType ? qhead_type_ : qhead_relation_;
-    qhead = std::make_unique<nn::QuantizedLinear>(nn::QuantizeLinear(
-        nn::LowerLinear(model_->Heads(kind).base->projection())));
-  }
-  layer_int8_.assign(lowered.layers.size(), 1);
-  head_int8_ = true;
-  if (precision_policy_ != PrecisionMode::kMixed) {
-    return BuildPlanSet(lowered, /*quantized=*/true);
-  }
-
-  // Mixed mode: the fp32 plans (installed right now) are the baseline.
-  // The calibration signal is the compiled base-head prediction — pure
-  // encoder + head, no embedding stores — so calibration works even on a
-  // freshly constructed model whose stores have not been built yet.
-  std::vector<std::pair<TaskKind, int>> slice;
-  const int per_task =
-      std::max(1, model_->config().precision_calibration_samples);
-  for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-    if (!model_->HasTask(kind)) continue;
-    const TaskData& task = model_->Task(kind);
-    const std::vector<int>& ids =
-        task.valid_ids.empty() ? task.train_ids : task.valid_ids;
-    if (!ids.empty()) {
-      const size_t take =
-          std::min(static_cast<size_t>(per_task), ids.size());
-      for (size_t i = 0; i < take; ++i) slice.emplace_back(kind, ids[i]);
-    } else {
-      const size_t take = std::min(static_cast<size_t>(per_task),
-                                   task.samples.size());
-      for (size_t i = 0; i < take; ++i) {
-        slice.emplace_back(kind, static_cast<int>(i));
-      }
-    }
-  }
-  if (slice.empty()) {
-    return util::Status::FailedPrecondition(
-        "mixed-precision calibration has no samples to measure agreement "
-        "on");
-  }
-  std::vector<std::vector<int>> baseline;
-  baseline.reserve(slice.size());
-  for (const auto& [kind, id] : slice) {
-    baseline.push_back(PlanHeadLabels(kind, id));
-  }
-  return CalibrateQuantMask(lowered, slice, baseline);
-}
-
-util::Status InferenceSession::CalibrateQuantMask(
-    const nn::EncoderLowering& lowered,
-    const std::vector<std::pair<TaskKind, int>>& slice,
-    const std::vector<std::vector<int>>& baseline) {
-  const size_t num_layers = lowered.layers.size();
-  const double min_agree =
-      static_cast<double>(model_->config().precision_min_agreement);
-  std::vector<uint8_t> accepted(num_layers, 0);
-  bool head_accepted = false;
-  // Probe one candidate at a time — exactly one layer (or the head) int8,
-  // everything else fp32 — so each probe isolates that layer's
-  // quantization error against the fp32 baseline.
-  for (size_t cand = 0; cand <= num_layers; ++cand) {
-    layer_int8_.assign(num_layers, 0);
-    head_int8_ = cand == num_layers;
-    if (cand < num_layers) layer_int8_[cand] = 1;
-    if (util::Status st = BuildPlanSet(lowered, /*quantized=*/true);
-        !st.ok()) {
-      return st;
-    }
-    const double agree = AgreementOnSlice(slice, baseline);
-    if (agree >= min_agree) {
-      if (cand < num_layers) {
-        accepted[cand] = 1;
-      } else {
-        head_accepted = true;
-      }
-    }
-  }
-  layer_int8_ = accepted;
-  head_int8_ = head_accepted;
-  if (util::Status st = BuildPlanSet(lowered, /*quantized=*/true);
-      !st.ok()) {
-    return st;
-  }
-  if (!quantized_active_) {
-    return util::Status::FailedPrecondition(
-        "mixed-precision calibration rejected every layer and the head; "
-        "nothing to quantize");
-  }
-  // Per-layer probes pass independently; errors can still compound when
-  // the accepted layers stack, so gate the combined mask too.
-  const double combined = AgreementOnSlice(slice, baseline);
-  if (combined < min_agree) {
-    return util::Status::FailedPrecondition(
-        "combined int8 mask agreement fell below the calibration "
-        "threshold; individually-acceptable layers compound");
-  }
-  return util::Status::OK();
-}
-
-std::vector<int> InferenceSession::PlanHeadLabels(TaskKind kind,
-                                                  int sample_id) const {
-  tensor::InferenceModeGuard guard;
-  const InferencePlan* plan = PlanFor(kind, sample_id);
-  CHECK(plan != nullptr && plan->logits_off >= 0)
-      << "calibration requires compiled plans with a folded head";
-  const TaskSample& sample =
-      model_->Task(kind).samples[static_cast<size_t>(sample_id)];
-  std::vector<float> logits(static_cast<size_t>(plan->num_labels));
-  PlanRun run;
-  run.token_ids = sample.seq.ids.data();
-  run.segment_ids =
-      plan->has_segments ? sample.seq.segments.data() : nullptr;
-  run.logits = logits.data();
-  RunPlan(*plan, run);
-  return model_->DecodeLabels(kind, logits);
-}
-
-double InferenceSession::AgreementOnSlice(
-    const std::vector<std::pair<TaskKind, int>>& slice,
-    const std::vector<std::vector<int>>& baseline) const {
-  CHECK_EQ(slice.size(), baseline.size());
-  if (slice.empty()) return 1.0;
-  size_t match = 0;
-  for (size_t i = 0; i < slice.size(); ++i) {
-    if (PlanHeadLabels(slice[i].first, slice[i].second) == baseline[i]) {
-      ++match;
-    }
-  }
-  return static_cast<double>(match) / static_cast<double>(slice.size());
-}
-
-void InferenceSession::DropQuantState() {
-  // Any installed int8 plan borrows qencoder_/qhead storage by pointer;
-  // the plans must die with the storage, never outlive it.
-  type_plans_.clear();
-  relation_plans_.clear();
-  plans_built_ = 0;
-  qencoder_.reset();
-  qhead_type_.reset();
-  qhead_relation_.reset();
-  layer_int8_.clear();
-  head_int8_ = false;
-  quantized_active_ = false;
-}
-
-const char* InferenceSession::served_precision() const {
-  if (!quantized_active_) return "fp32";
-  return precision_policy_ == PrecisionMode::kMixed ? "mixed" : "int8";
-}
-
-InferenceSession::PrecisionStats InferenceSession::precision_stats() const {
-  PrecisionStats s;
-  s.policy = precision_policy_;
-  s.served = served_precision();
-  if (!quantized_active_ || qencoder_ == nullptr) return s;
-  for (const uint8_t bit : layer_int8_) s.int8_layers += bit;
-  s.fp32_fallback_layers =
-      static_cast<int64_t>(layer_int8_.size()) - s.int8_layers;
-  s.head_int8 = head_int8_;
-  const auto add = [&s](const nn::QuantizedLinear& q) {
-    s.weight_bytes_fp32 += q.Fp32Bytes();
-    s.weight_bytes_int8 += q.Int8Bytes();
-  };
-  for (size_t i = 0; i < layer_int8_.size(); ++i) {
-    if (layer_int8_[i] == 0) continue;
-    const nn::QuantizedEncoderLayer& ql = qencoder_->layers[i];
-    add(ql.wq);
-    add(ql.wk);
-    add(ql.wv);
-    add(ql.wo);
-    add(ql.ffn_in);
-    add(ql.ffn_out);
-  }
-  if (head_int8_) {
-    if (qhead_type_ != nullptr) add(*qhead_type_);
-    if (qhead_relation_ != nullptr) add(*qhead_relation_);
-  }
-  return s;
-}
-
-void InferenceSession::SuspendQuantizedTier() {
-  suppress_quant_ = true;
-  if (qencoder_ == nullptr && !quantized_active_) return;
-  DropQuantState();
-  precision_status_ = util::Status::OK();
-  BuildPlans();  // Rebuilds fp32-only; suppress_quant_ restates the why.
-}
-
-void InferenceSession::ReloadWeights() {
-  suppress_quant_ = false;
-  if (plan_mode_ == PlanMode::kOff) return;
-  // fp32 plans borrow the model's weight storage by pointer — a weight
-  // update never staled them, so the reference policy stays zero-cost.
-  if (precision_policy_ == PrecisionMode::kFp32) return;
-  if (precision_policy_ == PrecisionMode::kInt8 && quantized_active_ &&
-      qencoder_ != nullptr) {
-    // Fast path: the int8 mask is static under the int8 policy, so new
-    // weights only need their int8 bytes rewritten in place. The
-    // installed plans borrow the quantized storage by pointer
-    // (borrowed-pointer contract) and stay exactly as compiled.
-    const nn::EncoderLowering lowered = nn::LowerEncoder(*model_->encoder_);
-    nn::RequantizeEncoder(lowered, qencoder_.get());
-    for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
-      if (!model_->HasTask(kind)) continue;
-      nn::QuantizedLinear* qhead = kind == TaskKind::kType
-                                       ? qhead_type_.get()
-                                       : qhead_relation_.get();
-      if (qhead != nullptr) {
-        nn::RequantizeLinear(
-            nn::LowerLinear(model_->Heads(kind).base->projection()), qhead);
-      }
-    }
-    return;
-  }
-  // First arm after a suspension, mixed-mode recalibration against the
-  // new weights, or a second chance for a tier that previously failed.
-  DropQuantState();
-  precision_status_ = util::Status::OK();
-  BuildPlans();
 }
 
 const InferencePlan* InferenceSession::PlanFor(TaskKind kind,

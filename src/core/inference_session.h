@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -42,22 +41,6 @@ namespace explainti::core {
 /// never go stale; they die with the session, which under serve's
 /// hot-swap means a new generation always carries freshly built plans.
 ///
-/// Precision tiers. On top of the fp32 plan set the session can arm an
-/// int8 post-training-quantized tier (config.precision or
-/// `EXPLAINTI_PRECISION` = fp32|int8|mixed, latched at construction):
-/// encoder weight GEMMs and the folded base classifier head run
-/// ServingGemmInt8 against per-output-column symmetric int8 weights,
-/// quantized once from the frozen fp32 storage. "mixed" calibrates a
-/// per-layer fp32-fallback bit against the fp32 baseline's predictions on
-/// the validation slice and keeps only layers (and the head) whose
-/// agreement clears config.precision_min_agreement. The tier is strictly
-/// additive and fails closed: any quantization or calibration failure
-/// stores a typed precision_status() and rebuilds the all-fp32 plan set,
-/// "fp32" policy leaves every output bit-identical to today, verify mode
-/// forces fp32 (the quantized path is intentionally not bit-identical to
-/// the walk), and training always serves fp32 (the model suspends the
-/// tier over Fit and re-quantizes from the new weights afterwards).
-///
 /// All methods are const and touch no mutable model state (per-call RNGs
 /// are derived from ExplainTiModel::InferenceSeed), so one session may be
 /// shared across threads serving concurrent requests. The only contract
@@ -85,31 +68,6 @@ class InferenceSession {
     int64_t plans_built = 0;  ///< Distinct plans compiled at construction.
     int64_t plan_runs = 0;    ///< Calls served by the compiled path.
     int64_t graph_runs = 0;   ///< Calls served by the graph walk.
-  };
-
-  /// Precision policy requested for this session (from config.precision /
-  /// `EXPLAINTI_PRECISION`, latched at construction).
-  enum class PrecisionMode {
-    kFp32,   ///< Reference tier; bit-identical to the graph walk.
-    kInt8,   ///< Every encoder weight GEMM + base head quantized.
-    kMixed,  ///< Per-layer int8, calibrated against the fp32 baseline.
-  };
-
-  /// Quantized-tier summary, for tests, serve metrics and the bench gate.
-  struct PrecisionStats {
-    PrecisionMode policy = PrecisionMode::kFp32;
-    /// What calls actually run: "fp32" (tier off, suspended, or failed
-    /// closed), "int8", or "mixed". Static storage — safe to stamp into
-    /// responses without copying.
-    const char* served = "fp32";
-    int64_t int8_layers = 0;           ///< Encoder layers running int8.
-    int64_t fp32_fallback_layers = 0;  ///< Layers calibration kept fp32.
-    bool head_int8 = false;            ///< Base classifier head is int8.
-    /// Fp32 bytes of the weights the armed tier replaced, and the int8
-    /// bytes (data + dequant params) replacing them. Both 0 when the tier
-    /// is not armed.
-    int64_t weight_bytes_fp32 = 0;
-    int64_t weight_bytes_int8 = 0;
   };
 
   explicit InferenceSession(const ExplainTiModel& model);
@@ -183,75 +141,11 @@ class InferenceSession {
     return s;
   }
 
-  PrecisionMode precision_mode() const { return precision_policy_; }
-
-  /// The precision calls actually serve at right now ("fp32"/"int8"/
-  /// "mixed"); static storage, stable for the session's lifetime between
-  /// weight-mutating calls.
-  const char* served_precision() const;
-
-  /// OK while the requested tier is armed (or the policy is fp32); a
-  /// typed error explaining why the session failed closed to fp32
-  /// otherwise (quantization fault, calibration rejected everything,
-  /// verify mode forcing the reference path).
-  const util::Status& precision_status() const { return precision_status_; }
-
-  PrecisionStats precision_stats() const;
-
-  /// Drops the quantized tier and serves fp32 until ReloadWeights(); the
-  /// model calls this at Fit() entry so training-time evaluation is
-  /// always the bit-exact fp32 path. Idempotent; no-op when no tier is
-  /// armed.
-  void SuspendQuantizedTier();
-
-  /// Re-arms the precision policy after the model's weights changed
-  /// (Fit() end, LoadWeights()). fp32 policy: no-op — fp32 plans borrow
-  /// the model's storage and are never stale. int8 policy with a live
-  /// tier: re-quantizes the int8 bytes in place WITHOUT rebuilding plans
-  /// (plans borrow the session's quantized storage by pointer, so the
-  /// rewrite is all they need). Mixed policy (or a tier that previously
-  /// failed / was suspended): full rebuild + recalibration.
-  void ReloadWeights();
-
  private:
-  /// Lowers the model and compiles the plan set, then arms the quantized
-  /// tier when the policy asks for one; on fp32-build failure drops every
-  /// plan and leaves the session on the graph walk, on quantized-tier
-  /// failure fails closed to the all-fp32 plan set with a typed
-  /// precision_status_.
+  /// Lowers the model and compiles one plan per distinct (task, seq_len,
+  /// has_segments) key in the task data. All or nothing: on any failure
+  /// every plan is dropped and the session serves from the graph walk.
   void BuildPlans();
-
-  /// Compiles one plan per distinct (task, seq_len, has_segments) key,
-  /// quantized per the session's current mask when `quantized`. All or
-  /// nothing: on error the plan maps are left empty.
-  util::Status BuildPlanSet(const nn::EncoderLowering& lowered,
-                            bool quantized);
-
-  /// Quantizes the frozen weights, calibrates the mixed-mode mask, and
-  /// rebuilds the plan set quantized. On error the caller fails closed.
-  util::Status BuildQuantizedTier(const nn::EncoderLowering& lowered);
-
-  /// Mixed mode: per-layer (and head) agreement probe against `baseline`
-  /// (the fp32 plan-head predictions on the calibration slice).
-  util::Status CalibrateQuantMask(
-      const nn::EncoderLowering& lowered,
-      const std::vector<std::pair<TaskKind, int>>& slice,
-      const std::vector<std::vector<int>>& baseline);
-
-  /// Base-head predicted labels straight off the compiled plan (no
-  /// stores, no structural tail) — the calibration signal.
-  std::vector<int> PlanHeadLabels(TaskKind kind, int sample_id) const;
-
-  /// Fraction of `slice` whose PlanHeadLabels match `baseline` under the
-  /// currently-installed plan set.
-  double AgreementOnSlice(
-      const std::vector<std::pair<TaskKind, int>>& slice,
-      const std::vector<std::vector<int>>& baseline) const;
-
-  /// Releases quantized weight storage and resets the mask/counters —
-  /// and drops every installed plan with it, since int8 plans borrow the
-  /// storage by pointer.
-  void DropQuantState();
 
   /// Runs `plan`'s encoder range for `sample` and wraps the first `rows`
   /// rows of its output as a workspace tensor for the RunForward tail:
@@ -279,30 +173,12 @@ class InferenceSession {
 
   const ExplainTiModel* model_;
   PlanMode plan_mode_ = PlanMode::kOn;
-  /// Keyed by seq_len * 2 + has_segments; mutated only by the
-  /// weights-lifecycle calls (construction, SuspendQuantizedTier,
-  /// ReloadWeights), which the session contract already serializes
-  /// against serving.
+  /// Keyed by seq_len * 2 + has_segments; built once at construction.
   std::unordered_map<int64_t, InferencePlan> type_plans_;
   std::unordered_map<int64_t, InferencePlan> relation_plans_;
   int64_t plans_built_ = 0;
   mutable std::atomic<int64_t> plan_runs_{0};
   mutable std::atomic<int64_t> graph_runs_{0};
-
-  // -- Quantized tier state (see class comment "Precision tiers") --------
-  PrecisionMode precision_policy_ = PrecisionMode::kFp32;
-  bool suppress_quant_ = false;  ///< Armed by SuspendQuantizedTier().
-  util::Status precision_status_;
-  /// Quantized weight storage the int8 plan instructions borrow by
-  /// pointer; pointer-stable across ReloadWeights()'s in-place
-  /// re-quantization fast path.
-  std::unique_ptr<nn::QuantizedEncoder> qencoder_;
-  std::unique_ptr<nn::QuantizedLinear> qhead_type_;
-  std::unique_ptr<nn::QuantizedLinear> qhead_relation_;
-  std::vector<uint8_t> layer_int8_;  ///< Per-layer bit; 0 = fp32 fallback.
-  bool head_int8_ = false;
-  /// True when the installed plan set actually contains int8 GEMMs.
-  bool quantized_active_ = false;
 };
 
 /// Loads a complete serving replica for a model hot-swap: constructs a

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/quant.h"
-
 namespace explainti::nn {
 
 class Linear;
@@ -79,63 +77,6 @@ EncoderLowering LowerEncoder(const TransformerEncoder& encoder);
 
 /// Flattens one affine head for plan building.
 LinearLowering LowerLinear(const Linear& linear);
-
-// ---------------------------------------------------------------------------
-// Quantized views (the int8 serving tier)
-// ---------------------------------------------------------------------------
-//
-// A quantized view is an OWNED int8 snapshot of a frozen Linear's fp32
-// weight (symmetric per-output-channel, tensor/quant.h), plus a borrowed
-// pointer to the fp32 bias — the bias add stays in fp32 on the plan's
-// epilogue path. Views are built once at session construction
-// (quantize-once); after LoadWeights mutates the fp32 parameters in
-// place, RequantizeLinear/RequantizeEncoder rewrite the SAME int8
-// storage, so plan instructions that borrowed the quantized pointers
-// stay valid exactly like the fp32 borrowed-pointer contract.
-
-/// y = dequant(x_q W_q) + b for one frozen Linear.
-struct QuantizedLinear {
-  tensor::QuantizedMatrix weight;  ///< [in, out] int8, per-column params.
-  const float* bias = nullptr;     ///< Borrows the module's fp32 bias.
-  int64_t in = 0;
-  int64_t out = 0;
-
-  /// fp32 bytes this view replaces (the weight matrix only — the bias
-  /// stays fp32 on both paths).
-  int64_t Fp32Bytes() const {
-    return in * out * static_cast<int64_t>(sizeof(float));
-  }
-  int64_t Int8Bytes() const { return weight.StorageBytes(); }
-};
-
-/// One encoder block's six weight GEMMs, quantized. Attention's
-/// activation x activation GEMMs (scores, context) have no frozen
-/// operand and stay fp32 by construction.
-struct QuantizedEncoderLayer {
-  QuantizedLinear wq, wk, wv, wo, ffn_in, ffn_out;
-};
-
-/// The full encoder's quantized weight set, parallel to
-/// EncoderLowering::layers.
-struct QuantizedEncoder {
-  std::vector<QuantizedEncoderLayer> layers;
-
-  int64_t Fp32Bytes() const;
-  int64_t Int8Bytes() const;
-};
-
-/// Quantizes one lowered Linear (a fresh owned snapshot).
-QuantizedLinear QuantizeLinear(const LinearLowering& lin);
-
-/// Re-quantizes `lin`'s current fp32 weights into `q`'s existing
-/// storage; shape must match (CHECK). Pointer-stable.
-void RequantizeLinear(const LinearLowering& lin, QuantizedLinear* q);
-
-/// Quantizes every weight GEMM of a lowered encoder.
-QuantizedEncoder QuantizeEncoder(const EncoderLowering& encoder);
-
-/// Re-quantizes every layer in place; layer count and shapes must match.
-void RequantizeEncoder(const EncoderLowering& encoder, QuantizedEncoder* q);
 
 }  // namespace explainti::nn
 

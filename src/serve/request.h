@@ -105,11 +105,6 @@ struct ServeResponse {
   /// server started with; each successful hot-swap increments it). A
   /// cache hit reports the generation that originally computed the entry.
   uint64_t model_generation = 0;
-  /// Serving precision of the session that computed this response
-  /// ("fp32", "int8" or "mixed" — InferenceSession::served_precision()).
-  /// Static storage; valid for the process lifetime. A cache hit reports
-  /// the precision that originally computed the entry.
-  const char* precision = "fp32";
 };
 
 /// Completion callback. Invoked exactly once per admitted request, from a

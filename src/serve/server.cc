@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <condition_variable>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -34,11 +33,6 @@ InferenceServer::InferenceServer(const core::InferenceSession& session,
         std::make_unique<qa::QaEngine>(&session, options_.qa.options);
   }
   current_->id = 1;
-  // Cumulative across generations: bumped once per installed session by
-  // its calibrated per-layer fp32-fallback count, so a fleet scrape sees
-  // mixed-precision calibration drift across rollouts.
-  metrics_->GetCounter("serve.fp32_fallback_layers")
-      ->Increment(session.precision_stats().fp32_fallback_layers);
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -312,8 +306,6 @@ util::Status InferenceServer::SwapSession(const core::InferenceSession& next) {
   // caching opportunity, never a correctness issue.)
   if (cache_ != nullptr) cache_->Clear();
   metrics_->GetCounter("serve.swaps")->Increment();
-  metrics_->GetCounter("serve.fp32_fallback_layers")
-      ->Increment(next.precision_stats().fp32_fallback_layers);
   return util::Status::OK();
 }
 
@@ -471,12 +463,6 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
         ->GetCounter(session.plans_enabled() ? "serve.plan_batches"
                                              : "serve.graph_batches")
         ->Increment();
-    // Quantized-tier visibility: batches served below fp32. A generation
-    // whose policy asks for int8 but never bumps this is the alert that
-    // the tier failed closed (session.precision_status() has the why).
-    if (std::strcmp(session.served_precision(), "fp32") != 0) {
-      metrics->GetCounter("serve.int8_batches")->Increment();
-    }
   }
 
   const int64_t dispatch_us = util::MonotonicNowUs();
@@ -596,7 +582,6 @@ void InferenceServer::ExecuteBatch(const core::InferenceSession& session,
     response.total_us = done_us - pending.request.arrival_us;
     response.batch_size = static_cast<int>(batch.size());
     response.model_generation = generation;
-    response.precision = session.served_precision();
     if (queue_wait != nullptr) queue_wait->Record(response.queue_wait_us);
     if (e2e != nullptr) e2e->Record(response.total_us);
     if (entry_ok && cache != nullptr && pending.input_hash != 0) {

@@ -6,22 +6,18 @@
 
 namespace explainti::tensor {
 
-/// One logical intermediate of a linearized plan: its element count and
-/// width, and its liveness interval over the instruction stream.
+/// One logical fp32 intermediate of a linearized plan: its element count
+/// and its liveness interval over the instruction stream.
 /// `first_def` is the index of the instruction that writes it;
 /// `last_use` the index of the last instruction reading it (inclusive).
 /// A buffer that must survive the whole program (a plan output) simply
 /// sets `last_use` past the last instruction.
-///
-/// Buffers are planned at byte granularity: `elem_bytes` defaults to 4
-/// (fp32, the historical single-dtype case), and mixed-precision plans
-/// set 1 for int8 quantization scratch so narrow buffers pack into the
-/// same arena as the fp32 activations.
 struct PlannedBuffer {
-  int64_t size = 0;        ///< Element count.
+  static constexpr int64_t kElemBytes = 4;  ///< Every element is a float.
+
+  int64_t size = 0;  ///< Element count.
   int32_t first_def = 0;
   int32_t last_use = 0;
-  int64_t elem_bytes = 4;  ///< Bytes per element (4 = fp32, 1 = int8).
 };
 
 /// Fixed byte offsets for every logical buffer inside one flat arena.
@@ -36,8 +32,7 @@ struct BufferPlan {
 /// and on the encoder's ping-pong access pattern within ~10% of optimal
 /// — the point is that the plan executor never allocates, not a perfect
 /// packing. Offsets are aligned to `alignment` bytes (default 64 == one
-/// cache line) so vectorized kernels start aligned regardless of the
-/// element widths planned before them.
+/// cache line) so vectorized kernels start aligned.
 BufferPlan PlanBufferOffsets(const std::vector<PlannedBuffer>& buffers,
                              int64_t alignment = 64);
 

@@ -21,9 +21,9 @@ namespace explainti::testing {
 ///
 /// One canonical (corpus, config, sample set, window count) consumed by
 /// every suite that scores explanation evidence — the plan-verify tests
-/// and the quantized accuracy gate — so "the paths agree on the golden
-/// evidence" means the same thing everywhere: same tables, same samples,
-/// same top-k windows, same token-set comparison (core/evidence.h).
+/// and the table-QA suites — so "the paths agree on the golden evidence"
+/// means the same thing everywhere: same tables, same samples, same top-k
+/// windows, same token-set comparison (core/evidence.h).
 
 /// Deterministic generator: same options → same tables, every consumer.
 inline data::TableCorpus GoldenCorpus() {

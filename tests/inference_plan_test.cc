@@ -453,19 +453,17 @@ int CountClsLimited(const InferencePlan& plan) {
   return limited;
 }
 
-// Every plan key the sessions compiled — fp32 and int8, both tasks — and
-// standalone plans down to L = 1.
+// Every plan key the session compiled, both tasks, and standalone plans
+// down to L = 1.
 TEST(InferencePlanTest, ClsOnlyRunMatchesFullRunOnEveryPlanKey) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
   const data::TableCorpus corpus = TinyCorpus();
-  for (const char* precision : {"fp32", "int8"}) {
+  {
     ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", precision);
     ExplainTiModel model(TinyConfig(), corpus);
     const InferenceSession& session = model.session();
     ASSERT_TRUE(session.plans_enabled());
-    ASSERT_STREQ(session.served_precision(), precision);
     std::set<const InferencePlan*> seen;
     for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
       if (!session.HasTask(kind)) continue;
@@ -475,20 +473,18 @@ TEST(InferencePlanTest, ClsOnlyRunMatchesFullRunOnEveryPlanKey) {
             session.PlanFor(kind, static_cast<int>(id));
         ASSERT_NE(plan, nullptr);
         if (!seen.insert(plan).second) continue;
-        EXPECT_EQ(plan->int8_gemms > 0, std::string(precision) == "int8");
         EXPECT_GT(CountClsLimited(*plan), 0);
         ExpectClsOnlyRunMatchesFullRun(
             *plan, task.samples[id].seq.ids, task.samples[id].seq.segments,
-            std::string(precision) + " seq_len " +
-                std::to_string(plan->seq_len));
+            "seq_len " + std::to_string(plan->seq_len));
       }
     }
     EXPECT_GT(seen.size(), 1u);
   }
 
   // Standalone plans over a fresh encoder: L = 1 (which no task sample
-  // has) up to a few rows, fp32 and all-int8, the [CLS] row also checked
-  // against the graph walk.
+  // has) up to a few rows, the [CLS] row also checked against the graph
+  // walk.
   nn::TransformerConfig config;
   config.vocab_size = 40;
   util::Rng rng(11);
@@ -496,41 +492,91 @@ TEST(InferencePlanTest, ClsOnlyRunMatchesFullRunOnEveryPlanKey) {
   nn::Linear head(config.d_model, 5, rng);
   const nn::EncoderLowering lowered = nn::LowerEncoder(encoder);
   const nn::LinearLowering head_lowered = nn::LowerLinear(head);
-  const nn::QuantizedEncoder qencoder = nn::QuantizeEncoder(lowered);
-  const nn::QuantizedLinear qhead = nn::QuantizeLinear(head_lowered);
-  PlanQuantSpec int8_spec;
-  int8_spec.encoder = &qencoder;
-  int8_spec.head = &qhead;
   for (int64_t len : {1, 2, 5}) {
     std::vector<int> ids, segments;
     for (int64_t i = 0; i < len; ++i) {
       ids.push_back(static_cast<int>(rng.UniformInt(uint64_t{40})));
       segments.push_back(2 * i < len ? 0 : 1);
     }
-    for (const PlanQuantSpec* spec : {static_cast<PlanQuantSpec*>(nullptr),
-                                      &int8_spec}) {
-      util::StatusOr<InferencePlan> plan = BuildInferencePlan(
-          lowered, &head_lowered, len, /*has_segments=*/true, spec);
-      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      EXPECT_EQ(CountClsLimited(*plan) > 0, len > 1);
-      ExpectClsOnlyRunMatchesFullRun(
-          *plan, ids, segments,
-          std::string(spec != nullptr ? "int8" : "fp32") + " L=" +
-              std::to_string(len));
-      if (spec != nullptr) continue;
-      std::vector<float> cls(static_cast<size_t>(plan->d_model));
-      PlanRun run;
-      run.token_ids = ids.data();
-      run.segment_ids = segments.data();
-      run.encoder_out = cls.data();
-      run.encoder_out_rows = 1;
-      RunPlan(*plan, run);
-      tensor::InferenceModeGuard mode;
-      const tensor::Tensor hidden =
-          encoder.Forward(ids, segments, nn::ExecContext::Inference());
-      ExpectBitEqual(tensor::Row(hidden, 0).ToVector(), cls,
-                     "[CLS] row vs graph walk");
+    util::StatusOr<InferencePlan> plan = BuildInferencePlan(
+        lowered, &head_lowered, len, /*has_segments=*/true);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(CountClsLimited(*plan) > 0, len > 1);
+    ExpectClsOnlyRunMatchesFullRun(*plan, ids, segments,
+                                   "L=" + std::to_string(len));
+    std::vector<float> cls(static_cast<size_t>(plan->d_model));
+    PlanRun run;
+    run.token_ids = ids.data();
+    run.segment_ids = segments.data();
+    run.encoder_out = cls.data();
+    run.encoder_out_rows = 1;
+    RunPlan(*plan, run);
+    tensor::InferenceModeGuard mode;
+    const tensor::Tensor hidden =
+        encoder.Forward(ids, segments, nn::ExecContext::Inference());
+    ExpectBitEqual(tensor::Row(hidden, 0).ToVector(), cls,
+                   "[CLS] row vs graph walk");
+  }
+}
+
+// -- In-place weight loads: plans borrow the weights -----------------------
+
+// LoadWeights copies into the model's existing parameter buffers, which
+// the compiled plans borrow by pointer, so the same plans must serve the
+// new weights with no rebuild. The donor is built from another seed so
+// its weights, and so the served outputs, differ. The reference is the
+// reloaded model's own graph walk, not the donor: config.seed also seeds
+// the per-sample inference RNG (SE sampling).
+TEST(InferencePlanTest, PlansFollowInPlaceWeightLoads) {
+  GlobalPoolGuard guard;
+  util::SetGlobalThreadCount(1);
+  const data::TableCorpus corpus = TinyCorpus();
+  ExplainTiConfig donor_config = TinyConfig();
+  donor_config.seed += 1;
+  const std::string path = ::testing::TempDir() + "/plan_reload_weights.bin";
+  ASSERT_TRUE(ExplainTiModel(donor_config, corpus).SaveWeights(path).ok());
+
+  auto model = [&] {
+    ScopedEnv env("EXPLAINTI_PLAN", "on");
+    return std::make_unique<ExplainTiModel>(TinyConfig(), corpus);
+  }();
+  model->RefreshStores();
+  const InferenceSession& session = model->session();
+  ASSERT_TRUE(session.plans_enabled());
+  struct Served {
+    TaskKind kind;
+    int id;
+    const InferencePlan* plan;
+    std::vector<float> probabilities;
+  };
+  std::vector<Served> before;
+  for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
+    if (!session.HasTask(kind)) continue;
+    for (int id : SampleIds(session.task_data(kind))) {
+      const InferencePlan* plan = session.PlanFor(kind, id);
+      ASSERT_NE(plan, nullptr);
+      before.push_back(
+          {kind, id, plan, session.PredictProbabilities(kind, id)});
     }
+  }
+  const int64_t plans_built = session.plan_stats().plans_built;
+
+  ASSERT_TRUE(model->LoadWeights(path).ok());
+  EXPECT_EQ(session.plan_stats().plans_built, plans_built);
+  for (const Served& s : before) {
+    EXPECT_EQ(session.PlanFor(s.kind, s.id), s.plan) << "sample " << s.id;
+    const int64_t plan_runs = session.plan_stats().plan_runs;
+    const std::vector<float> after = session.PredictProbabilities(s.kind, s.id);
+    EXPECT_GT(session.plan_stats().plan_runs, plan_runs);
+    ASSERT_EQ(after.size(), s.probabilities.size());
+    EXPECT_NE(std::memcmp(after.data(), s.probabilities.data(),
+                          after.size() * sizeof(float)),
+              0)
+        << "sample " << s.id << " still serves the old weights";
+    ExpectBitEqual(model->PredictProbabilities(s.kind, s.id), after,
+                   "probabilities vs the reloaded graph walk");
+    ExpectExplanationsBitEqual(model->Explain(s.kind, s.id),
+                               session.Explain(s.kind, s.id));
   }
 }
 
@@ -625,10 +671,9 @@ TEST(InferencePlanTest, SteadyStateRunPlanIsZeroAlloc) {
 
 // The shared golden-evidence fixture (tests/golden_evidence.h) pins the
 // explanation evidence across serving configurations: the compiled plan
-// path, the graph walk, and an explicit EXPLAINTI_PRECISION=fp32 session
-// must surface identical top-window token sets on the golden samples.
-// (The quantized gate in quantized_test.cc scores int8 sessions against
-// the same fixture with a tolerance; the fp32 paths get none.)
+// path, the graph walk, and a verify session (which runs both and checks
+// them per call) must surface identical top-window token sets on the
+// golden samples.
 TEST(InferencePlanTest, GoldenEvidenceAgreesAcrossFp32Paths) {
   GlobalPoolGuard guard;
   util::SetGlobalThreadCount(1);
@@ -643,16 +688,16 @@ TEST(InferencePlanTest, GoldenEvidenceAgreesAcrossFp32Paths) {
     return std::make_unique<ExplainTiModel>(explainti::testing::GoldenConfig(),
                                             corpus);
   }();
-  auto fp32_model = [&] {
-    ScopedEnv plan_env("EXPLAINTI_PLAN", "on");
-    ScopedEnv prec_env("EXPLAINTI_PRECISION", "fp32");
+  auto verify_model = [&] {
+    ScopedEnv env("EXPLAINTI_PLAN", "verify");
     return std::make_unique<ExplainTiModel>(explainti::testing::GoldenConfig(),
                                             corpus);
   }();
   plan_model->RefreshStores();
   graph_model->RefreshStores();
-  fp32_model->RefreshStores();
-  ASSERT_STREQ(fp32_model->session().served_precision(), "fp32");
+  verify_model->RefreshStores();
+  ASSERT_EQ(verify_model->session().plan_mode(),
+            InferenceSession::PlanMode::kVerify);
 
   for (TaskKind kind : {TaskKind::kType, TaskKind::kRelation}) {
     if (!plan_model->session().HasTask(kind)) continue;
@@ -662,14 +707,14 @@ TEST(InferencePlanTest, GoldenEvidenceAgreesAcrossFp32Paths) {
     ASSERT_FALSE(want.front().empty()) << "golden sample produced no evidence";
     const auto from_plan =
         explainti::testing::GoldenEvidence(plan_model->session(), kind);
-    const auto from_fp32 =
-        explainti::testing::GoldenEvidence(fp32_model->session(), kind);
-    // fp32 paths are bit-identical, so evidence agreement is exact — the
-    // Jaccard tolerance exists only for the quantized tier.
+    const auto from_verify =
+        explainti::testing::GoldenEvidence(verify_model->session(), kind);
+    // The paths are bit-identical, so evidence agreement is exact.
     EXPECT_EQ(explainti::testing::MeanEvidenceAgreement(want, from_plan), 1.0);
-    EXPECT_EQ(explainti::testing::MeanEvidenceAgreement(want, from_fp32), 1.0);
+    EXPECT_EQ(explainti::testing::MeanEvidenceAgreement(want, from_verify),
+              1.0);
     EXPECT_EQ(want, from_plan);
-    EXPECT_EQ(want, from_fp32);
+    EXPECT_EQ(want, from_verify);
   }
 }
 
